@@ -2,8 +2,6 @@
 
 from .attention import (
     WindowSpec,
-    attention_mask,
-    dense_masked_attention_reference,
     sliding_window_attention,
     window_schedule,
 )

@@ -4,22 +4,24 @@ The window grows with depth on a per-kernel schedule: width 1 in the first
 layer, then (k-1) * 2^(l-2) in layer l, which doubles per layer and lands
 on 512 (k=3), 1024 (k=5) and 4096 (k=17) at layer 10.
 
-`sliding_window_attention` picks between a banded gather kernel (narrow
-windows) and a dense masked kernel (wide windows). Both are numerically
-interchangeable with `dense_masked_attention_reference`, the literal O(T^2)
-oracle kept for tests.
+`sliding_window_attention` is one query-chunked kernel, the sliding-chunks
+scheme of Longformer (Beltagy et al. 2020) with FlashAttention-style query
+tiling (Dao et al. 2022). Each chunk of `_CHUNK` query rows attends with
+dense GEMMs to the key/value slab its window can reach, so memory and work
+are O(T * (chunk + width)), not O(T^2), and a sequence of at most `_CHUNK`
+frames is a single dense chunk.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, ShapeError
 from .numerics import Tensor, _accumulate, _tracking
 
 NEG_INF = float("-inf")
+_CHUNK = 64  # query rows per chunk
 
 
 def window_schedule(kernel_size: int, layer_index: int) -> int:
@@ -68,32 +70,12 @@ class WindowSpec:
         )
 
 
-def attention_mask(T: int, window: int, causal: bool) -> np.ndarray:
-    """Boolean T x T mask; row t marks the positions t may attend to."""
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
-    pos = np.arange(T)
-    rel = pos[None, :] - pos[:, None]
-    if causal:
-        return (rel <= 0) & (rel > -window)
-    half = window // 2
-    return np.abs(rel) <= half
-
-
 def _band_extent(T: int, window: int, causal: bool) -> tuple[int, int]:
     """(left, right) reach of the band, clipped to the sequence."""
     if causal:
         return min(window - 1, T - 1), 0
     half = window // 2
     return min(half, T - 1), min(half, T - 1)
-
-
-def _softmax_rows_masked(scores: np.ndarray) -> np.ndarray:
-    """Stable row softmax where masked entries are already -inf."""
-    z = scores - scores.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
 
 
 def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec) -> Tensor:
@@ -112,95 +94,48 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec) 
         raise ShapeError(f"attention needs a T x C matrix, got {q.data.shape}")
     T, C = q.data.shape
     left, right = _band_extent(T, spec.window_size, spec.causal)
-    width = left + right + 1
-    if 2 * width >= T:
-        return _dense_attention(q, k, v, left, right)
-    return _banded_attention(q, k, v, left, right)
-
-
-def _dense_attention(q: Tensor, k: Tensor, v: Tensor, left: int, right: int) -> Tensor:
-    T, C = q.data.shape
     inv_sqrt = q.data.dtype.type(1.0 / math.sqrt(C))
-    pos = np.arange(T)
-    rel = pos[None, :] - pos[:, None]
-    admissible = (rel <= right) & (rel >= -left)
-    scores = (q.data @ k.data.T) * inv_sqrt
-    scores[~admissible] = NEG_INF
-    probs = _softmax_rows_masked(scores)
-    out_data = probs @ v.data
-    if not _tracking(q, k, v):
+    qs = q.data * inv_sqrt
+    kd, vd = k.data, v.data
+    # Column j of `bias` is key s - left + j for chunk row i (query s + i), so a
+    # chunk's bias is the column slice at its clipped slab start. Adding -inf
+    # out of the window makes those scores weigh exactly zero after exp.
+    n = min(T, _CHUNK)
+    rel = np.arange(n + left + right)[None, :] - np.arange(n)[:, None]
+    bias = np.where((rel < 0) | (rel > left + right), NEG_INF, 0.0).astype(qs.dtype)
+    out_data = np.empty_like(qs)
+    tracking = _tracking(q, k, v)
+    chunks = []
+    for s in range(0, T, _CHUNK):
+        e = min(s + _CHUNK, T)
+        a, b = max(0, s - left), min(T, e + right)
+        probs = qs[s:e] @ kd[a:b].T
+        if a - e + 1 < -left or b - 1 - s > right:
+            c = a - s + left
+            probs += bias[:e - s, c:c + b - a]
+        probs -= probs.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+        np.matmul(probs, vd[a:b], out=out_data[s:e])
+        if tracking:
+            chunks.append((s, e, a, b, probs))
+    if not tracking:
         return Tensor(out_data)
 
     def backward(g):
-        dp = g @ v.data.T
-        _accumulate(v, probs.T @ g)
-        ds = probs * (dp - (dp * probs).sum(axis=1, keepdims=True))
-        _accumulate(q, (ds @ k.data) * inv_sqrt)
-        _accumulate(k, (ds.T @ q.data) * inv_sqrt)
+        # sum_j P_ij dP_ij = g_i . out_i, so the softmax backward needs no slab-wide reduction
+        delta = np.einsum("ij,ij->i", g, out_data)[:, None]
+        dq, dk, dv = np.empty_like(qs), np.zeros_like(kd), np.zeros_like(vd)
+        for s, e, a, b, probs in chunks:
+            dv[a:b] += probs.T @ g[s:e]
+            ds = g[s:e] @ vd[a:b].T
+            ds -= delta[s:e]
+            ds *= probs
+            np.matmul(ds, kd[a:b], out=dq[s:e])
+            dk[a:b] += ds.T @ qs[s:e]
+        dq *= inv_sqrt
+        _accumulate(q, dq)
+        _accumulate(k, dk)
+        _accumulate(v, dv)
 
     return Tensor(out_data, True, (q, k, v), backward)
-
-
-def _banded_attention(q: Tensor, k: Tensor, v: Tensor, left: int, right: int) -> Tensor:
-    """Gather kernel: O(T * width * C) instead of O(T^2 * C).
-
-    Keys/values are zero-padded by the band reach so that column j of the
-    band addresses source position t + j - left; out-of-range positions are
-    masked to -inf before the softmax and their scatter contributions land
-    in the padding, which is sliced away.
-    """
-    T, C = q.data.shape
-    width = left + right + 1
-    inv_sqrt = q.data.dtype.type(1.0 / math.sqrt(C))
-    kp = np.zeros((T + left + right, C), dtype=k.data.dtype)
-    kp[left:left + T] = k.data
-    vp = np.zeros_like(kp)
-    vp[left:left + T] = v.data
-    row, col = kp.strides
-    kband = as_strided(kp, shape=(T, width, C), strides=(row, row, col))
-    vband = as_strided(vp, shape=(T, width, C), strides=(row, row, col))
-    src = np.arange(T)[:, None] + np.arange(width)[None, :] - left
-    valid = (src >= 0) & (src < T)
-    scores = np.matmul(kband, q.data[:, :, None])[:, :, 0] * inv_sqrt
-    scores[~valid] = NEG_INF
-    probs = _softmax_rows_masked(scores)
-    out_data = np.matmul(probs[:, None, :], vband)[:, 0, :]
-    if not _tracking(q, k, v):
-        return Tensor(out_data)
-
-    def backward(g):
-        dp = np.matmul(vband, g[:, :, None])[:, :, 0]
-        ds = probs * (dp - (dp * probs).sum(axis=1, keepdims=True))
-        _accumulate(q, np.matmul(ds[:, None, :], kband)[:, 0, :] * inv_sqrt)
-        dkp = np.zeros_like(kp)
-        dvp = np.zeros_like(vp)
-        # one big outer product each, then width strided adds into the pads
-        qs = q.data * inv_sqrt
-        dkband = ds[:, :, None] * qs[:, None, :]
-        dvband = probs[:, :, None] * g[:, None, :]
-        for j in range(width):
-            dkp[j:j + T] += dkband[:, j]
-            dvp[j:j + T] += dvband[:, j]
-        _accumulate(k, dkp[left:left + T].copy())
-        _accumulate(v, dvp[left:left + T].copy())
-
-    return Tensor(out_data, True, (q, k, v), backward)
-
-
-def dense_masked_attention_reference(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                                     mask: np.ndarray) -> np.ndarray:
-    """Literal masked attention over an explicit boolean mask. Test oracle only."""
-    q = np.asarray(q)
-    k = np.asarray(k)
-    v = np.asarray(v)
-    mask = np.asarray(mask, dtype=bool)
-    T, C = q.shape
-    if mask.shape != (T, T):
-        raise ShapeError(f"mask shape {mask.shape} does not match T={T}")
-    empty = ~mask.any(axis=1)
-    if empty.any():
-        raise ValueError(f"mask row {int(np.flatnonzero(empty)[0])} has no admissible positions")
-    scores = (q @ k.T) / math.sqrt(C)
-    scores = np.where(mask, scores, NEG_INF)
-    probs = _softmax_rows_masked(scores.astype(q.dtype))
-    return probs @ v

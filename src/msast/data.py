@@ -84,7 +84,11 @@ def read_feature_file(path) -> np.ndarray:
             f"{path}: truncated payload at offset {len(data)}, expected {expected} bytes for {T}x{D}")
     if len(data) > expected:
         raise FileFormatError(f"{path}: {len(data) - expected} trailing bytes at offset {expected}")
-    return np.frombuffer(data, dtype="<f4", offset=16).reshape(T, D).copy()
+    features = np.frombuffer(data, dtype="<f4", offset=16).reshape(T, D).copy()
+    bad = np.flatnonzero(~np.isfinite(features))
+    if bad.size:
+        raise DataError(f"{path}: non-finite feature value at offset {16 + 4 * int(bad[0])}")
+    return features
 
 
 def read_labels(path, T_expected: int) -> np.ndarray:

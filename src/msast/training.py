@@ -26,7 +26,6 @@ LOG_PROB_FLOOR = float(np.log(1e-8))
 class TrainConfig:
     epochs: int = 200
     learning_rate: float = 1e-4
-    batch_size: int = 1
     smooth_tau: float = 4.0
     smooth_lambda: float = 0.15
     adam_betas: tuple[float, float] = (0.9, 0.999)
@@ -39,8 +38,6 @@ class TrainConfig:
             problems.append(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate < 0:
             problems.append(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size != 1:
-            problems.append(f"batch_size is fixed at 1 video, got {self.batch_size}")
         if not self.smooth_tau > 0:
             problems.append(f"smooth_tau must be > 0, got {self.smooth_tau}")
         if self.smooth_lambda < 0:

@@ -1,12 +1,46 @@
-"""Brute-force reference implementations for metric tests.
+"""Brute-force reference implementations for attention and metric tests.
 
-Deliberately naive: recursion + memo for edit distance, per-frame sets for
-IoU, plain python counting loops. These never share code with the package.
+Deliberately naive: an explicit T x T mask and a literal masked softmax for
+attention, recursion + memo for edit distance, per-frame sets for IoU, plain
+python counting loops. These never share code with the package.
 """
 
 import functools
+import math
 
 import numpy as np
+
+from msast.errors import ConfigError, ShapeError
+
+
+def attention_mask(T: int, window: int, causal: bool) -> np.ndarray:
+    """Boolean T x T mask; row t marks the positions t may attend to."""
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
+    pos = np.arange(T)
+    rel = pos[None, :] - pos[:, None]
+    if causal:
+        return (rel <= 0) & (rel > -window)
+    half = window // 2
+    return np.abs(rel) <= half
+
+
+def dense_masked_attention_reference(q, k, v, mask) -> np.ndarray:
+    """Literal masked attention over an explicit boolean mask."""
+    q = np.asarray(q)
+    k = np.asarray(k)
+    v = np.asarray(v)
+    mask = np.asarray(mask, dtype=bool)
+    T, C = q.shape
+    if mask.shape != (T, T):
+        raise ShapeError(f"mask shape {mask.shape} does not match T={T}")
+    empty = ~mask.any(axis=1)
+    if empty.any():
+        raise ValueError(f"mask row {int(np.flatnonzero(empty)[0])} has no admissible positions")
+    scores = np.where(mask, (q @ k.T) / math.sqrt(C), -np.inf).astype(q.dtype)
+    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights = weights / weights.sum(axis=1, keepdims=True)
+    return weights @ v
 
 
 def brute_edit_score(pred_labels, gt_labels) -> float:

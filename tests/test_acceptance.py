@@ -9,8 +9,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from msast.attention import WindowSpec, attention_mask, dense_masked_attention_reference, \
-    sliding_window_attention, window_schedule
+from msast.attention import WindowSpec, sliding_window_attention, window_schedule
 from msast.cli import main as cli_main
 from msast.data import SynthConfig, generate_synthetic
 from msast.metrics import aggregate, edit_score, evaluate_video, f1_at_overlap, f1_avg, \
@@ -20,7 +19,8 @@ from msast.numerics import as_tensor, finite_diff_check
 from msast.training import AdamState, TrainConfig, capture_smooth_prev, load_checkpoint, \
     total_loss, train
 
-from tests.oracles import brute_edit_score, brute_f1, brute_frame_metrics, random_label_pair
+from tests.oracles import attention_mask, brute_edit_score, brute_f1, brute_frame_metrics, \
+    dense_masked_attention_reference, random_label_pair
 from tests.single_scale_reference import single_scale_forward
 
 
@@ -91,7 +91,7 @@ def test_criterion_4_attention_oracle_100_cases():
             got = sliding_window_attention(as_tensor(q), as_tensor(k), as_tensor(v),
                                            WindowSpec(window_size=w, causal=causal)).data
             worst = max(worst, float(np.abs(ref - got).max()))
-        print(f"  worst |banded - dense| over 100 cases: {worst:.3e}")
+        print(f"  worst |kernel - oracle| over 100 cases: {worst:.3e}")
         assert worst <= 1e-6
 
 

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
-from msast.attention import (
-    WindowSpec,
-    attention_mask,
-    dense_masked_attention_reference,
-    sliding_window_attention,
-    window_schedule,
-)
+from msast.attention import WindowSpec, sliding_window_attention, window_schedule
 from msast.errors import ConfigError, ShapeError
 from msast.numerics import as_tensor
+
+from tests.oracles import attention_mask, dense_masked_attention_reference
 
 
 # --- window schedule ----------------------------------------------------------
@@ -132,15 +128,17 @@ def test_saturated_window_equals_full_attention(rng):
 
 
 def test_causal_rows_ignore_future_value_perturbation(rng):
-    q, k = (as_tensor(rng.normal(size=(10, 3))) for _ in range(2))
-    v = rng.normal(size=(10, 3))
-    spec = WindowSpec(window_size=4, causal=True)
-    base = sliding_window_attention(q, k, as_tensor(v), spec).data
-    for t in (0, 4, 8):
-        bumped = v.copy()
-        bumped[t + 1:] += 10.0
-        out = sliding_window_attention(q, k, as_tensor(bumped), spec).data
-        assert np.array_equal(out[:t + 1], base[:t + 1])
+    # T=150 spans three query chunks, and a width-70 window reaches past the previous chunk
+    for T, w, times in [(10, 4, (0, 4, 8)), (150, 70, (0, 63, 64, 100, 148))]:
+        q, k = (as_tensor(rng.normal(size=(T, 3))) for _ in range(2))
+        v = rng.normal(size=(T, 3))
+        spec = WindowSpec(window_size=w, causal=True)
+        base = sliding_window_attention(q, k, as_tensor(v), spec).data
+        for t in times:
+            bumped = v.copy()
+            bumped[t + 1:] += 10.0
+            out = sliding_window_attention(q, k, as_tensor(bumped), spec).data
+            assert np.array_equal(out[:t + 1], base[:t + 1])
 
 
 def test_matches_dense_reference_100_random_cases():
@@ -159,15 +157,17 @@ def test_matches_dense_reference_100_random_cases():
     assert worst <= 1e-6, f"worst deviation from dense reference: {worst}"
 
 
-def test_both_execution_paths_match_reference(rng):
-    # width*2 >= T selects the dense path, narrow windows the banded path
-    for T, w in [(8, 5), (64, 5), (20, 16), (63, 2)]:
-        q, k, v = (rng.normal(size=(T, 6)) for _ in range(3))
-        for causal in (True, False):
-            ref = dense_masked_attention_reference(q, k, v, attention_mask(T, w, causal))
-            got = sliding_window_attention(as_tensor(q), as_tensor(k), as_tensor(v),
-                                           WindowSpec(window_size=w, causal=causal)).data
-            np.testing.assert_allclose(got, ref, atol=1e-9)
+def test_chunk_boundaries_match_reference(rng):
+    # T > 64 splits the queries into chunks whose key slabs are clipped at
+    # the sequence ends or by the window; T <= 64 is a single dense chunk
+    for T in (8, 20, 63, 64, 65, 200):
+        for w in (1, 2, 5, 16, 64, 129, 513):
+            q, k, v = (rng.normal(size=(T, 6)) for _ in range(3))
+            for causal in (True, False):
+                ref = dense_masked_attention_reference(q, k, v, attention_mask(T, w, causal))
+                got = sliding_window_attention(as_tensor(q), as_tensor(k), as_tensor(v),
+                                               WindowSpec(window_size=w, causal=causal)).data
+                np.testing.assert_allclose(got, ref, atol=1e-9, err_msg=f"T={T} w={w} causal={causal}")
 
 
 def test_output_rows_are_convex_combinations(rng):
@@ -197,7 +197,8 @@ def test_attention_gradients_match_finite_differences(rng):
     from msast.numerics import Parameter, finite_diff_check
     from tests.test_numerics import tensor_sum
 
-    for w, causal, T in [(2, True, 7), (5, False, 9), (16, True, 10), (3, False, 24)]:
+    for w, causal, T in [(2, True, 7), (5, False, 9), (16, True, 10), (3, False, 24),
+                         (5, True, 150), (64, False, 150)]:
         q = Parameter(rng.normal(size=(T, 4)), "q")
         k = Parameter(rng.normal(size=(T, 4)), "k")
         v = Parameter(rng.normal(size=(T, 4)), "v")

@@ -191,6 +191,17 @@ def test_predict_line_count_and_determinism(tmp_path, dataset, trained):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_predict_non_finite_features_exit_2(tmp_path, dataset, trained):
+    feature_file = next((dataset / "features").iterdir())
+    blob = bytearray(feature_file.read_bytes())
+    blob[16:20] = np.array([np.nan], dtype="<f4").tobytes()
+    bad = tmp_path / "nan.msfeat"
+    bad.write_bytes(bytes(blob))
+    out = tmp_path / "o.txt"
+    assert run("predict", "--ckpt", trained, "--features", bad, "--out", out) == 2
+    assert not out.exists()
+
+
 def test_stream_requires_causal_exit_6(tmp_path, dataset, trained):
     feature_file = next((dataset / "features").iterdir())
     assert run("stream", "--ckpt", trained, "--features", feature_file,

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -72,6 +73,17 @@ def test_feature_trailing_bytes_rejected(tmp_path):
 def test_feature_rejects_non_finite(tmp_path):
     with pytest.raises(DataError):
         write_feature_file(tmp_path / "nan.msfeat", np.array([[np.nan]], dtype=np.float32))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feature_read_rejects_non_finite(tmp_path, bad):
+    # the writer refuses such payloads, so the bytes are built by hand
+    payload = np.zeros((20, 8), dtype="<f4")
+    payload[3, 5] = bad
+    path = tmp_path / "nan.msfeat"
+    path.write_bytes(b"MSFEAT01" + struct.pack("<II", 20, 8) + payload.tobytes())
+    with pytest.raises(DataError, match="non-finite feature value at offset 132"):
+        read_feature_file(path)
 
 
 # --- labels / mapping / splits ----------------------------------------------------
