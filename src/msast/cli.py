@@ -12,13 +12,10 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import data as dio
 from . import metrics as mx
 from .errors import ConfigError, DataError, FileFormatError, ModeError, NumericError, ShapeError
-from .model import ModelConfig, StreamState, build_model, forward_stream, predict
-from .numerics import Tensor, no_grad, softmax_rows
+from .model import ModelConfig, StreamState, build_model, forward_stream, labels_from_logits, predict
 from .training import AdamState, TrainConfig, load_checkpoint, save_checkpoint, train
 
 MODEL_KEYS = ("kernels", "layers_per_stage", "feature_maps", "num_classes", "input_dim",
@@ -59,18 +56,16 @@ def _parse_value(key: str, raw: str):
 def read_run_config(path) -> dict:
     """Flat key=value file; unknown keys are rejected."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno} is not key=value: {line!r}")
-            key, raw = line.split("=", 1)
-            key = key.strip()
-            if key not in ALL_KEYS:
-                raise ConfigError(f"{path}: unknown config key {key!r} on line {lineno}")
-            values[key] = _parse_value(key, raw)
+    for lineno, line in enumerate(dio.read_text_lines(path, ConfigError), start=1):
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno} is not key=value: {line!r}")
+        key, raw = line.split("=", 1)
+        key = key.strip()
+        if key not in ALL_KEYS:
+            raise ConfigError(f"{path}: unknown config key {key!r} on line {lineno}")
+        values[key] = _parse_value(key, raw)
     return values
 
 
@@ -98,12 +93,6 @@ def _echo(title: str, values: dict):
 def _require_file(path, what: str):
     if not os.path.exists(path):
         raise ConfigError(f"{what} not found: {path}")
-
-
-def _row_prediction(logits_row: np.ndarray) -> int:
-    with no_grad():
-        probs = softmax_rows(Tensor(logits_row.reshape(1, -1))).data
-    return int(probs.argmax(axis=1)[0])
 
 
 def cmd_synth(args) -> int:
@@ -253,7 +242,7 @@ def cmd_stream(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         for t in range(features.shape[0]):
             logits = forward_stream(model, features[t:t + 1], state)
-            fh.write(f"{_row_prediction(logits[0])}\n")
+            fh.write(f"{int(labels_from_logits(logits)[0])}\n")
             fh.flush()  # one prediction per frame, as it arrives
     print(f"streamed {features.shape[0]} frames to {args.out}")
     return 0

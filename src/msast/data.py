@@ -91,17 +91,24 @@ def read_feature_file(path) -> np.ndarray:
     return features
 
 
+def read_text_lines(path, error=DataError) -> list[str]:
+    """The stripped lines of a UTF-8 text file; bytes that do not decode raise `error`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [line.strip() for line in fh]
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_labels(path, T_expected: int) -> np.ndarray:
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                labels.append(int(line))
-            except ValueError:
-                raise DataError(f"{path}: non-integer label {line!r} on line {lineno}") from None
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        if not line:
+            continue
+        try:
+            labels.append(int(line))
+        except ValueError:
+            raise DataError(f"{path}: non-integer label {line!r} on line {lineno}") from None
     if len(labels) != T_expected:
         raise DataError(f"{path}: expected {T_expected} labels, found {len(labels)}")
     return np.asarray(labels, dtype=np.int64)
@@ -115,21 +122,19 @@ def write_labels(path, labels):
 
 def read_mapping(path) -> dict[int, str]:
     mapping = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(maxsplit=1)
-            if len(parts) != 2:
-                raise DataError(f"{path}: malformed mapping line {lineno}: {line!r}")
-            try:
-                cid = int(parts[0])
-            except ValueError:
-                raise DataError(f"{path}: non-integer class id on line {lineno}") from None
-            if cid in mapping:
-                raise DataError(f"{path}: duplicate class id {cid} on line {lineno}")
-            mapping[cid] = parts[1]
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        if not line:
+            continue
+        parts = line.split(maxsplit=1)
+        if len(parts) != 2:
+            raise DataError(f"{path}: malformed mapping line {lineno}: {line!r}")
+        try:
+            cid = int(parts[0])
+        except ValueError:
+            raise DataError(f"{path}: non-integer class id on line {lineno}") from None
+        if cid in mapping:
+            raise DataError(f"{path}: duplicate class id {cid} on line {lineno}")
+        mapping[cid] = parts[1]
     if sorted(mapping) != list(range(len(mapping))):
         raise DataError(f"{path}: class ids must be dense 0..{len(mapping) - 1}, got {sorted(mapping)}")
     return mapping
@@ -137,14 +142,12 @@ def read_mapping(path) -> dict[int, str]:
 
 def read_split(path) -> list[str]:
     ids = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            vid = line.strip()
-            if not vid:
-                continue
-            if vid in ids:
-                raise DataError(f"{path}: duplicate video id {vid!r} on line {lineno}")
-            ids.append(vid)
+    for lineno, vid in enumerate(read_text_lines(path), start=1):
+        if not vid:
+            continue
+        if vid in ids:
+            raise DataError(f"{path}: duplicate video id {vid!r} on line {lineno}")
+        ids.append(vid)
     return ids
 
 

@@ -17,7 +17,7 @@ what makes the streaming pass exact.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,32 +110,11 @@ class Model:
     cfg: ModelConfig
     encoder: StageParams
     decoders: list[StageParams]
-    dtype: np.dtype = field(default=np.dtype(np.float32))
+    dtype: np.dtype
+    params: list[Parameter]  # every Parameter, in layout order (see assemble_model)
 
     def parameters(self) -> list[Parameter]:
-        out = []
-
-        def stage(s: StageParams):
-            out.extend([s.in_w, s.in_b])
-            for blk in s.blocks:
-                for br in blk.branches:
-                    out.extend([br.conv_w, br.conv_b, br.wq, br.wk, br.wv, br.mix])
-                out.extend([blk.out_w, blk.out_b])
-                if blk.norm_gain is not None:
-                    out.extend([blk.norm_gain, blk.norm_bias])
-            out.extend([s.head_w, s.head_b])
-
-        stage(self.encoder)
-        for dec in self.decoders:
-            stage(dec)
-        return out
-
-    def param_by_name(self) -> dict[str, Parameter]:
-        return {p.name: p for p in self.parameters()}
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
+        return list(self.params)
 
 
 @dataclass
@@ -192,8 +171,11 @@ def multiscale_fuse(h_base: Tensor, attn_outs, weights, alpha: float) -> Tensor:
     return out
 
 
-def _block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer: int,
-                   alpha: float, cfg: ModelConfig, rng, training: bool) -> Tensor:
+def block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer: int,
+                  alpha: float, cfg: ModelConfig, rng=None, training: bool = False) -> Tensor:
+    """Encoder block (enc_out None: Q, K, V from the conv branch) or decoder
+    block (Q and K read [branch | enc_out], V the branch only). A mismatched
+    enc_out raises ShapeError from concat_channels or matmul."""
     dilation = 1 << (layer - 1)
     mode = "causal" if cfg.causal else "symmetric"
     attn_outs = []
@@ -215,42 +197,24 @@ def _block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer
     return nx.add(x, dropped)
 
 
-def encoder_block_forward(x: Tensor, params: BlockParams, layer: int, cfg: ModelConfig,
-                          rng=None, training: bool = False) -> Tensor:
-    """Self-attention block: Q, K, V all from the (normalized) conv branch."""
-    return _block_forward(x, None, params, layer, 1.0, cfg, rng, training)
+def assemble_model(cfg: ModelConfig, param, dtype=np.float32) -> Model:
+    """The one parameter layout, for initialization and checkpoint loading.
 
-
-def decoder_block_forward(x: Tensor, enc_out: Tensor, params: BlockParams, layer: int,
-                          alpha: float, cfg: ModelConfig, rng=None,
-                          training: bool = False) -> Tensor:
-    """Cross-attention block: Q and K read [branch | encoder output], V the branch only."""
-    if enc_out.data.shape != x.data.shape:
-        raise ShapeError(f"encoder output {enc_out.data.shape} does not match block input {x.data.shape}")
-    return _block_forward(x, enc_out, params, layer, alpha, cfg, rng, training)
-
-
-def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> Model:
-    """Deterministic initialization: weights uniform in +-sqrt(1/fan_in),
-    biases zero, fusion weights 1, norm gain 1 / bias 0."""
-    cfg.validate()
-    dtype = np.dtype(dtype)
-    rng = np.random.default_rng(seed)
+    Every Parameter comes from `param(name, shape, fan_in=None, fill=0.0)`
+    (weights pass their fan-in; the rest fan_in None and a constant fill).
+    The call order is the draw order, `Model.parameters()` and the
+    checkpoint entry order."""
     C = cfg.feature_maps
+    params = []
 
-    def weight(name, shape, fan_in):
-        bound = math.sqrt(1.0 / fan_in)
-        return Parameter(rng.uniform(-bound, bound, size=shape).astype(dtype), name)
-
-    def zeros(name, shape):
-        return Parameter(np.zeros(shape, dtype=dtype), name)
-
-    def ones(name, shape):
-        return Parameter(np.ones(shape, dtype=dtype), name)
+    def make(name, shape, fan_in=None, fill=0.0):
+        p = param(name, shape, fan_in, fill)
+        params.append(p)
+        return p
 
     def stage(prefix: str, in_dim: int, cross: bool) -> StageParams:
-        in_w = weight(f"{prefix}.in.w", (in_dim, C), in_dim)
-        in_b = zeros(f"{prefix}.in.b", (C,))
+        in_w = make(f"{prefix}.in.w", (in_dim, C), in_dim)
+        in_b = make(f"{prefix}.in.b", (C,))
         blocks = []
         qk_dim = 2 * C if cross else C
         for i in range(cfg.layers_per_stage):
@@ -259,39 +223,51 @@ def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> Model:
             for k in cfg.kernels:
                 s = f"{b}.k{k}"
                 branches.append(ScaleBranchParams(
-                    conv_w=weight(f"{s}.conv.w", (k, C, C), k * C),
-                    conv_b=zeros(f"{s}.conv.b", (C,)),
-                    wq=weight(f"{s}.wq", (qk_dim, C), qk_dim),
-                    wk=weight(f"{s}.wk", (qk_dim, C), qk_dim),
-                    wv=weight(f"{s}.wv", (C, C), C),
-                    mix=ones(f"{s}.mix", ()),
+                    conv_w=make(f"{s}.conv.w", (k, C, C), k * C),
+                    conv_b=make(f"{s}.conv.b", (C,)),
+                    wq=make(f"{s}.wq", (qk_dim, C), qk_dim),
+                    wk=make(f"{s}.wk", (qk_dim, C), qk_dim),
+                    wv=make(f"{s}.wv", (C, C), C),
+                    mix=make(f"{s}.mix", (), fill=1.0),
                 ))
             blocks.append(BlockParams(
                 branches=branches,
-                out_w=weight(f"{b}.out.w", (C, C), C),
-                out_b=zeros(f"{b}.out.b", (C,)),
-                norm_gain=None if cfg.causal else ones(f"{b}.norm.g", (C,)),
-                norm_bias=None if cfg.causal else zeros(f"{b}.norm.b", (C,)),
+                out_w=make(f"{b}.out.w", (C, C), C),
+                out_b=make(f"{b}.out.b", (C,)),
+                norm_gain=None if cfg.causal else make(f"{b}.norm.g", (C,), fill=1.0),
+                norm_bias=None if cfg.causal else make(f"{b}.norm.b", (C,)),
             ))
-        head_w = weight(f"{prefix}.head.w", (C, cfg.num_classes), C)
-        head_b = zeros(f"{prefix}.head.b", (cfg.num_classes,))
+        head_w = make(f"{prefix}.head.w", (C, cfg.num_classes), C)
+        head_b = make(f"{prefix}.head.b", (cfg.num_classes,))
         return StageParams(in_w, in_b, blocks, head_w, head_b)
 
     encoder = stage("enc", cfg.input_dim, cross=False)
     decoders = [stage(f"dec{d}", cfg.num_classes, cross=True)
                 for d in range(1, cfg.num_decoders + 1)]
-    return Model(cfg=cfg, encoder=encoder, decoders=decoders, dtype=dtype)
+    return Model(cfg, encoder, decoders, np.dtype(dtype), params)
+
+
+def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> Model:
+    """Deterministic initialization: weights uniform in +-sqrt(1/fan_in),
+    biases zero, fusion weights 1, norm gain 1 / bias 0."""
+    cfg.validate()
+    dtype = np.dtype(dtype)
+    rng = np.random.default_rng(seed)
+
+    def param(name, shape, fan_in=None, fill=0.0):
+        if fan_in is None:
+            return Parameter(np.full(shape, fill, dtype=dtype), name)
+        bound = math.sqrt(1.0 / fan_in)
+        return Parameter(rng.uniform(-bound, bound, size=shape).astype(dtype), name)
+
+    return assemble_model(cfg, param, dtype)
 
 
 def _run_stage(h: Tensor, stage: StageParams, cfg: ModelConfig, enc_hidden: Tensor | None,
                alpha: float, rng, training: bool) -> tuple[Tensor, Tensor]:
     """Returns (final hidden state, logits) for one stage."""
     for layer in range(1, cfg.layers_per_stage + 1):
-        blk = stage.blocks[layer - 1]
-        if enc_hidden is None:
-            h = encoder_block_forward(h, blk, layer, cfg, rng, training)
-        else:
-            h = decoder_block_forward(h, enc_hidden, blk, layer, alpha, cfg, rng, training)
+        h = block_forward(h, enc_hidden, stage.blocks[layer - 1], layer, alpha, cfg, rng, training)
     logits = nx.add(nx.matmul(h, stage.head_w), stage.head_b)
     return h, logits
 
@@ -353,9 +329,14 @@ def forward_stream(model: Model, next_feature_frame: np.ndarray, state: StreamSt
     return outputs.final()[-1:].copy()
 
 
-def predict(model: Model, features: np.ndarray) -> np.ndarray:
-    """Per-frame argmax of the final-stage softmax; ties go to the smaller class id."""
-    outputs = forward_full(model, features, mode="infer")
+def labels_from_logits(logits: np.ndarray) -> np.ndarray:
+    """Per-row argmax of the softmax; ties go to the smaller class id. The one
+    label rule, shared by `predict` and streaming so their labels agree."""
     with no_grad():
-        probs = nx.softmax_rows(outputs.logits[-1]).data
+        probs = nx.softmax_rows(Tensor(logits)).data
     return probs.argmax(axis=1).astype(np.int64)
+
+
+def predict(model: Model, features: np.ndarray) -> np.ndarray:
+    """Per-frame labels of the final stage (see labels_from_logits)."""
+    return labels_from_logits(forward_full(model, features, mode="infer").final())

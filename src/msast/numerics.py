@@ -97,9 +97,6 @@ class Parameter(Tensor):
         super().__init__(np.asarray(value), requires_grad=True)
         self.name = name
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 

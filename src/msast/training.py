@@ -8,6 +8,7 @@ dropout, so a (seed, data, config) triple fixes every parameter byte.
 """
 
 import io
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import numerics as nx
 from .errors import ConfigError, DataError, FileFormatError, NumericError, ShapeError
-from .model import Model, ModelConfig, StageOutputs, build_model, forward_full
+from .model import Model, ModelConfig, StageOutputs, assemble_model, forward_full
 from .numerics import Parameter, Tensor, _accumulate, _tracking
 
 LOG_PROB_FLOOR = float(np.log(1e-8))
@@ -252,10 +253,11 @@ def train(model: Model, dataset, cfg: TrainConfig, adam_state: AdamState | None 
 # config: u32 kernel count, u32 per kernel, then u32 layers_per_stage,
 #   feature_maps, input_dim, num_classes, num_decoders, causal (0/1),
 #   dropout (float32 bit pattern), alpha_base (float32 bit pattern)
-# u32 parameter count; per parameter:
+# u32 parameter count; per parameter, in Model.parameters() order:
 #   u16 name length, UTF-8 name, u8 rank, rank x u32 dims, float32 LE values
 # the same count+entry layout again for Adam m, then Adam v, then u64 step.
-# All integers little-endian; arrays row-major.
+# All integers little-endian; arrays row-major. The loader checks each entry's
+# name and dims against the header's config before it sizes or decodes it.
 
 CHECKPOINT_MAGIC = b"MSASTCK1"
 CHECKPOINT_VERSION = 1
@@ -305,15 +307,18 @@ class _Reader:
         return struct.unpack("<Q", self.take(8, what))[0]
 
 
-def _read_array(r: _Reader) -> tuple[str, np.ndarray]:
-    name_len = r.u16("name length")
-    name = r.take(name_len, "name").decode("utf-8")
+def _read_entry(r: _Reader, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The next array entry, which must be `name` with dims `shape`."""
+    at = r.pos
+    raw_name = r.take(r.u16("name length"), "name")
+    if raw_name != name.encode("utf-8"):
+        raise FileFormatError(f"entry at offset {at} is named {raw_name!r}, expected {name!r}")
     rank = r.u8(f"rank of {name}")
-    shape = tuple(r.u32(f"dim of {name}") for _ in range(rank))
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    raw = r.take(4 * count, f"values of {name}")
-    arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    return name, arr
+    dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"dims of {name}"))
+    if dims != shape:
+        raise FileFormatError(f"parameter {name!r} has shape {dims}, config implies {shape}")
+    raw = r.take(4 * math.prod(shape), f"values of {name}")
+    return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
 
 
 def save_checkpoint(model: Model, adam_state: AdamState, path):
@@ -353,7 +358,7 @@ def load_checkpoint(path) -> tuple[Model, AdamState]:
     if version != CHECKPOINT_VERSION:
         raise FileFormatError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     n_kernels = r.u32("kernel count")
-    kernels = tuple(r.u32("kernel size") for _ in range(n_kernels))
+    kernels = struct.unpack(f"<{n_kernels}I", r.take(4 * n_kernels, "kernel sizes"))
     ints = [r.u32(f) for f in ("layers_per_stage", "feature_maps", "input_dim",
                                "num_classes", "num_decoders", "causal flag")]
     dropout = _bits_f32(r.u32("dropout"))
@@ -363,29 +368,27 @@ def load_checkpoint(path) -> tuple[Model, AdamState]:
         layers_per_stage=ints[0], feature_maps=ints[1], num_decoders=ints[4],
         causal=bool(ints[5]), dropout=dropout, alpha_base=alpha_base,
     )
-    model = build_model(cfg, seed=0)
-    by_name = model.param_by_name()
+    problems = cfg.violations()
+    if ints[5] > 1:
+        problems.append(f"causal flag must be 0 or 1, got {ints[5]}")
+    if problems:
+        raise FileFormatError("checkpoint header holds an invalid model config: " + "; ".join(problems))
     n_params = r.u32("parameter count")
-    if n_params != len(by_name):
-        raise FileFormatError(f"checkpoint has {n_params} parameters, config implies {len(by_name)}")
-    for _ in range(n_params):
-        name, arr = _read_array(r)
-        if name not in by_name:
-            raise FileFormatError(f"unknown parameter {name!r} in checkpoint")
-        if arr.shape != by_name[name].data.shape:
-            raise FileFormatError(
-                f"parameter {name!r} has shape {arr.shape}, config implies {by_name[name].data.shape}")
-        by_name[name].data = arr
+
+    def param(name, shape, fan_in=None, fill=0.0):
+        return Parameter(_read_entry(r, name, shape), name)
+
+    model = assemble_model(cfg, param)
+    params = model.parameters()
+    if n_params != len(params):
+        raise FileFormatError(f"checkpoint has {n_params} parameters, config implies {len(params)}")
     state = AdamState(m={}, v={})
     for section in (state.m, state.v):
         count = r.u32("moment count")
         if count != n_params:
             raise FileFormatError(f"moment section has {count} entries, expected {n_params}")
-        for _ in range(count):
-            name, arr = _read_array(r)
-            if name not in by_name or arr.shape != by_name[name].data.shape:
-                raise FileFormatError(f"moment entry {name!r} does not match model parameters")
-            section[name] = arr
+        for p in params:
+            section[p.name] = _read_entry(r, p.name, p.data.shape)
     state.step = r.u64("step counter")
     if r.pos != len(data):
         raise FileFormatError(f"{len(data) - r.pos} trailing bytes after checkpoint payload at offset {r.pos}")

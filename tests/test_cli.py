@@ -1,11 +1,16 @@
+import math
 import os
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from msast.cli import main
 from msast.data import read_feature_file, write_feature_file
-from msast.training import CHECKPOINT_MAGIC, load_checkpoint
+from msast.errors import FileFormatError
+from msast.model import ModelConfig, build_model
+from msast.training import CHECKPOINT_MAGIC, AdamState, load_checkpoint, save_checkpoint
 
 
 def run(*argv):
@@ -97,6 +102,18 @@ def test_train_unknown_config_key_exit_2(tmp_path, dataset):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"data_root={dataset}\nbogus_key=1\n")
     assert run("train", "--config", cfg, "--out", tmp_path / "x.ckpt") == 2
+
+
+@pytest.mark.parametrize("target", ["labels", "mapping", "split", "config"])
+def test_train_non_utf8_text_exit_2(tmp_path, dataset, config, target):
+    path = {
+        "labels": dataset / "labels" / "video_000.txt",
+        "mapping": dataset / "mapping.txt",
+        "split": dataset / "splits" / "train.txt",
+        "config": config,
+    }[target]
+    path.write_bytes(path.read_bytes() + b"\xff\xfe")
+    assert run("train", "--config", config, "--out", tmp_path / "x.ckpt") == 2
 
 
 def test_train_set_overrides(tmp_path, config):
@@ -250,6 +267,62 @@ def test_missing_checkpoint_exit_2(tmp_path, dataset):
     feature_file = next((dataset / "features").iterdir())
     assert run("predict", "--ckpt", tmp_path / "nope.ckpt",
                "--features", feature_file, "--out", tmp_path / "o.txt") == 2
+
+
+def _entries(blob):
+    """(offset, name, dims) of each parameter entry of a checkpoint, in file order."""
+    n_kernels = int.from_bytes(blob[12:16], "little")
+    pos = 16 + 4 * n_kernels + 4 * 8
+    count = int.from_bytes(blob[pos:pos + 4], "little")
+    pos += 4
+    for _ in range(count):
+        name_len = int.from_bytes(blob[pos:pos + 2], "little")
+        rank = blob[pos + 2 + name_len]
+        dims_at = pos + 3 + name_len
+        dims = struct.unpack(f"<{rank}I", blob[dims_at:dims_at + 4 * rank])
+        yield pos, blob[pos + 2:pos + 2 + name_len], dims
+        pos = dims_at + 4 * rank + 4 * math.prod(dims)
+
+
+def _corrupt(blob, case):
+    blob = bytearray(blob)
+    if case == "non_utf8_name":
+        pos, name, _ = next(_entries(blob))
+        blob[pos + 2:pos + 2 + len(name)] = b"\xff" * len(name)
+    elif case == "dims_product_wraps_to_zero":
+        pos, name, _ = next(e for e in _entries(blob) if len(e[2]) == 3)
+        dims_at = pos + 3 + len(name)
+        blob[dims_at:dims_at + 12] = struct.pack("<3I", 2 ** 31, 2 ** 31, 4)  # 2**64 wraps int64
+    else:
+        fields_at = 16 + 4 * int.from_bytes(blob[12:16], "little")  # layers_per_stage, then the rest
+        offset, value = {"feature_maps_100000": (fields_at + 4, 100000), "kernels0_is_4": (16, 4),
+                         "causal_flag_7": (fields_at + 20, 7)}[case]
+        blob[offset:offset + 4] = value.to_bytes(4, "little")
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("case", ["non_utf8_name", "dims_product_wraps_to_zero",
+                                  "feature_maps_100000", "kernels0_is_4", "causal_flag_7"])
+def test_corrupt_checkpoint_rejected_before_allocation_exit_3(tmp_path, dataset, case):
+    model = build_model(ModelConfig(input_dim=5, num_classes=3, kernels=(3, 5), layers_per_stage=2,
+                                    feature_maps=8, num_decoders=1, causal=True), seed=0)
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(model, AdamState.init(model), good)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_corrupt(good.read_bytes(), case))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError):
+            load_checkpoint(bad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # nothing sized from the header: the peak stays near the file's own size
+    assert peak < 10 * good.stat().st_size + 100_000
+    feature_file = next((dataset / "features").iterdir())
+    out = tmp_path / "o.txt"
+    assert run("predict", "--ckpt", bad, "--features", feature_file, "--out", out) == 3
+    assert not out.exists()
 
 
 def test_corrupt_checkpoint_exit_3(tmp_path, dataset, trained):

@@ -7,9 +7,8 @@ from msast.model import (
     ModelConfig,
     StreamState,
     alpha_schedule,
+    block_forward,
     build_model,
-    encoder_block_forward,
-    decoder_block_forward,
     forward_full,
     forward_stream,
     multiscale_fuse,
@@ -100,7 +99,7 @@ def test_encoder_block_zeroed_weights_is_pure_residual(rng):
     blk.out_w.data[...] = 0.0
     blk.out_b.data[...] = 0.0
     x = as_tensor(rng.normal(size=(10, 8)).astype(np.float32))
-    out = encoder_block_forward(x, blk, 1, model.cfg)
+    out = block_forward(x, None, blk, 1, 1.0, model.cfg)
     assert np.array_equal(out.data, x.data)
 
 
@@ -110,7 +109,7 @@ def test_decoder_block_shape_guard(rng):
     x = as_tensor(rng.normal(size=(10, 8)).astype(np.float32))
     enc_bad = as_tensor(rng.normal(size=(9, 8)).astype(np.float32))
     with pytest.raises(ShapeError):
-        decoder_block_forward(x, enc_bad, cross.decoders[0].blocks[0], 1, 1.0, model.cfg)
+        block_forward(x, enc_bad, cross.decoders[0].blocks[0], 1, 1.0, model.cfg)
 
 
 def test_decoder_alpha_zero_drops_attention(rng):
@@ -119,7 +118,7 @@ def test_decoder_alpha_zero_drops_attention(rng):
     blk = model.decoders[0].blocks[0]
     x_arr = rng.normal(size=(10, 8)).astype(np.float32)
     enc = as_tensor(rng.normal(size=(10, 8)).astype(np.float32))
-    out = decoder_block_forward(as_tensor(x_arr), enc, blk, 1, 0.0, model.cfg)
+    out = block_forward(as_tensor(x_arr), enc, blk, 1, 0.0, model.cfg)
     br = blk.branches[0]
     h = nx.relu(nx.dilated_conv1d(as_tensor(x_arr), br.conv_w, br.conv_b, 1, "symmetric"))
     expected = nx.add(as_tensor(x_arr),
@@ -149,8 +148,8 @@ def test_decoder_with_zero_padded_projections_matches_encoder(rng):
     dec_blk.norm_bias.data = enc_blk.norm_bias.data.copy()
     x = as_tensor(rng.normal(size=(12, 8)).astype(np.float32))
     enc_out = as_tensor(rng.normal(size=(12, 8)).astype(np.float32))
-    got = decoder_block_forward(x, enc_out, dec_blk, 1, 1.0, model.cfg)
-    want = encoder_block_forward(x, enc_blk, 1, model.cfg)
+    got = block_forward(x, enc_out, dec_blk, 1, 1.0, model.cfg)
+    want = block_forward(x, None, enc_blk, 1, 1.0, model.cfg)
     np.testing.assert_allclose(got.data, want.data, rtol=1e-5, atol=1e-6)
 
 
