@@ -25,8 +25,8 @@ FEATURE_MAGIC = b"MSFEAT01"
 @dataclass
 class VideoSample:
     id: str
-    features: np.ndarray            # (T, D) float32
-    labels: np.ndarray | None = None  # (T,) int64
+    features: np.ndarray  # (T, D) float32
+    labels: np.ndarray    # (T,) int64
 
 
 @dataclass
@@ -160,19 +160,24 @@ def load_manifest(root) -> DatasetManifest:
     )
 
 
-def load_video(manifest: DatasetManifest, video_id: str, with_labels: bool = True) -> VideoSample:
+def check_class_ids(ids: np.ndarray, num_classes: int, what):
+    """Raise DataError unless every class id in `ids` lies in [0, num_classes)."""
+    bad = np.flatnonzero((ids < 0) | (ids >= num_classes))
+    if bad.size:
+        raise DataError(f"{what}: class id {int(ids[bad[0]])} at frame {int(bad[0])} "
+                        f"out of range [0, {num_classes})")
+
+
+def load_video(manifest: DatasetManifest, video_id: str) -> VideoSample:
     features = read_feature_file(manifest.feature_path(video_id))
-    labels = None
-    if with_labels:
-        labels = read_labels(manifest.label_path(video_id), features.shape[0])
-        if labels.size and labels.max() >= manifest.num_classes:
-            raise DataError(
-                f"{video_id}: label {int(labels.max())} exceeds mapping size {manifest.num_classes}")
+    lpath = manifest.label_path(video_id)
+    labels = read_labels(lpath, features.shape[0])
+    check_class_ids(labels, manifest.num_classes, lpath)
     return VideoSample(id=video_id, features=features, labels=labels)
 
 
-def load_split(manifest: DatasetManifest, split: str, with_labels: bool = True) -> list[VideoSample]:
-    return [load_video(manifest, vid, with_labels) for vid in manifest.split_ids(split)]
+def load_split(manifest: DatasetManifest, split: str) -> list[VideoSample]:
+    return [load_video(manifest, vid) for vid in manifest.split_ids(split)]
 
 
 @dataclass(frozen=True)
@@ -306,7 +311,7 @@ def validate_dataset(manifest: DatasetManifest) -> list[str]:
                 continue
             try:
                 features = read_feature_file(fpath)
-            except FileFormatError as exc:
+            except (FileFormatError, DataError) as exc:
                 violations.append(f"{vid}: unreadable features: {exc}")
                 continue
             dims[vid] = features.shape[1]
@@ -315,13 +320,9 @@ def validate_dataset(manifest: DatasetManifest) -> list[str]:
                 violations.append(f"{vid}: missing label file {lpath}")
                 continue
             try:
-                labels = read_labels(lpath, features.shape[0])
+                check_class_ids(read_labels(lpath, features.shape[0]), manifest.num_classes, lpath)
             except DataError as exc:
                 violations.append(f"{vid}: {exc}")
-                continue
-            if labels.size and labels.max() >= manifest.num_classes:
-                violations.append(
-                    f"{vid}: label {int(labels.max())} out of range for {manifest.num_classes} classes")
     if dims:
         common = max(set(dims.values()), key=lambda d: sum(1 for v in dims.values() if v == d))
         for vid, d in sorted(dims.items()):

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_class_ids
 from .errors import DataError
 
 F1_THRESHOLDS = (10, 25, 50)  # percent overlap
@@ -155,6 +156,8 @@ def confusion_matrix(pred, gt, num_classes: int, normalize: bool = False) -> np.
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise DataError(f"length mismatch: pred {pred.shape} vs gt {gt.shape}")
+    check_class_ids(pred, num_classes, "pred")
+    check_class_ids(gt, num_classes, "gt")
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(counts, (gt, pred), 1)
     if not normalize:

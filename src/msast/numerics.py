@@ -277,16 +277,16 @@ def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
     return Tensor(out_data, True, (x, gain, bias), backward)
 
 
-def _conv_padding(kernel: int, dilation: int, mode: str) -> tuple[int, int]:
+def _tap_offsets(kernel: int, dilation: int, mode: str) -> list[int]:
+    """Row offset s_k of each tap k: tap k adds w_k . x[t + s_k] into y_t."""
     if dilation < 1 or kernel < 1:
         raise ConfigError(f"conv needs kernel >= 1 and dilation >= 1, got K={kernel}, d={dilation}")
     if mode == "causal":
-        return (kernel - 1) * dilation, 0
+        return [(k - (kernel - 1)) * dilation for k in range(kernel)]
     if mode == "symmetric":
         if kernel % 2 == 0:
             raise ConfigError(f"symmetric conv needs odd kernel, got K={kernel}")
-        half = (kernel // 2) * dilation
-        return half, half
+        return [(k - kernel // 2) * dilation for k in range(kernel)]
     raise ConfigError(f"unknown conv mode {mode!r}")
 
 
@@ -296,33 +296,32 @@ def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, mode: str) ->
     x: (T, Cin), w: (K, Cin, Cout), b: (Cout,).
     causal:     y_t = b + sum_k w_k . x[t - (K-1-k)*d]   (taps at or before t)
     symmetric:  y_t = b + sum_k w_k . x[t + (k - K//2)*d]
-    Realized as an im2col gather plus one GEMM.
+    Realized per tap: y starts as b and each tap adds x[src] @ w_k into the
+    rows it reaches. A tap that reads only zero padding (|offset| >= T) is
+    skipped, and its weight gradient stays exactly zero.
     """
     if x.data.ndim != 2 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"conv shapes incompatible: x {x.data.shape}, w {w.data.shape}")
-    T, cin = x.data.shape
-    K, _, cout = w.data.shape
-    pad_top, pad_bot = _conv_padding(K, dilation, mode)
-    xp = np.zeros((T + pad_top + pad_bot, cin), dtype=x.data.dtype)
-    xp[pad_top:pad_top + T] = x.data
-    patches = np.empty((T, K, cin), dtype=x.data.dtype)
-    for k in range(K):
-        patches[:, k, :] = xp[k * dilation:k * dilation + T]
-    pmat = patches.reshape(T, K * cin)
-    wmat = w.data.reshape(K * cin, cout)
-    out_data = pmat @ wmat + b.data
+    xd, wd = x.data, w.data
+    T = xd.shape[0]
+    taps = [(k, slice(max(s, 0), T + min(s, 0)), slice(max(-s, 0), T - max(s, 0)))
+            for k, s in enumerate(_tap_offsets(wd.shape[0], dilation, mode)) if abs(s) < T]
+    out_data = np.empty((T, wd.shape[2]), dtype=np.result_type(xd, wd, b.data))
+    out_data[:] = b.data
+    for k, src, dst in taps:
+        out_data[dst] += xd[src] @ wd[k]
     if not _tracking(x, w, b):
         return Tensor(out_data)
 
     def backward(g):
         _accumulate(b, g.sum(axis=0))
-        _accumulate(w, (pmat.T @ g).reshape(K, cin, cout))
-        if x.requires_grad:
-            dpatches = (g @ wmat.T).reshape(T, K, cin)
-            dxp = np.zeros_like(xp)
-            for k in range(K):
-                dxp[k * dilation:k * dilation + T] += dpatches[:, k, :]
-            _accumulate(x, dxp[pad_top:pad_top + T].copy())
+        dw = np.zeros_like(wd)
+        dx = np.zeros_like(xd)
+        for k, src, dst in taps:
+            dw[k] = xd[src].T @ g[dst]
+            dx[src] += g[dst] @ wd[k].T
+        _accumulate(w, dw)
+        _accumulate(x, dx)
 
     return Tensor(out_data, True, (x, w, b), backward)
 

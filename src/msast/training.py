@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nx
+from .data import check_class_ids
 from .errors import ConfigError, DataError, FileFormatError, NumericError, ShapeError
 from .model import Model, ModelConfig, StageOutputs, assemble_model, forward_full
 from .numerics import Parameter, Tensor, _accumulate, _tracking
@@ -58,9 +59,7 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     T, C = logits.data.shape
     if labels.shape != (T,):
         raise ShapeError(f"labels shape {labels.shape} does not match logits rows {T}")
-    bad = np.flatnonzero((labels < 0) | (labels >= C))
-    if bad.size:
-        raise DataError(f"label {int(labels[bad[0]])} out of range [0, {C}) at frame {int(bad[0])}")
+    check_class_ids(labels, C, "labels")
     lsm = _log_softmax(logits.data)
     out_data = np.asarray(-lsm[np.arange(T), labels].mean(), dtype=logits.data.dtype)
     if not _tracking(logits):
@@ -214,8 +213,6 @@ def train(model: Model, dataset, cfg: TrainConfig, adam_state: AdamState | None 
             raise ShapeError(
                 f"video {sample.id}: feature dim {sample.features.shape[1]} "
                 f"!= model input_dim {model.cfg.input_dim}")
-        if sample.labels is None:
-            raise DataError(f"video {sample.id} has no labels")
     if adam_state is None:
         adam_state = AdamState.init(model)
     params = model.parameters()

@@ -186,6 +186,18 @@ def test_eval_missing_split_exit_2(tmp_path, dataset, trained):
                "--report", tmp_path / "r.tsv") == 2
 
 
+def test_eval_negative_label_exit_2(tmp_path, dataset, trained):
+    victim = (dataset / "splits" / "test.txt").read_text().split()[0]
+    label_file = dataset / "labels" / f"{victim}.txt"
+    lines = label_file.read_text().split("\n")
+    lines[0] = "-1"
+    label_file.write_text("\n".join(lines))
+    report = tmp_path / "r.tsv"
+    assert run("eval", "--ckpt", trained, "--data", dataset, "--split", "test",
+               "--report", report) == 2
+    assert not report.exists()
+
+
 def test_eval_dim_mismatch_exit_5(tmp_path, dataset, trained):
     for vid_file in (dataset / "features").iterdir():
         features = read_feature_file(vid_file)

@@ -9,6 +9,7 @@ from msast.data import (
     generate_synthetic,
     load_manifest,
     load_split,
+    load_video,
     read_feature_file,
     read_labels,
     read_mapping,
@@ -285,3 +286,30 @@ def test_validate_detects_mixed_dims(small_tree, rng):
                        rng.normal(size=(T, 9)).astype(np.float32))
     violations = validate_dataset(small_tree)
     assert any(victim in v and "dim" in v for v in violations)
+
+
+@pytest.mark.parametrize("bad_label", [-1, 7])
+def test_out_of_range_label_rejected(small_tree, bad_label):
+    assert small_tree.num_classes == 7
+    victim = small_tree.train_ids[2]
+    path = small_tree.label_path(victim)
+    labels = read_labels(path, read_feature_file(small_tree.feature_path(victim)).shape[0])
+    labels[4] = bad_label
+    write_labels(path, labels)
+    with pytest.raises(DataError, match=rf"class id {bad_label} at frame 4 out of range"):
+        load_video(small_tree, victim)
+    violations = validate_dataset(small_tree)
+    assert len(violations) == 1
+    assert victim in violations[0] and "out of range" in violations[0]
+
+
+def test_validate_lists_non_finite_features(small_tree):
+    victim = small_tree.test_ids[0]
+    path = small_tree.feature_path(victim)
+    blob = bytearray(open(path, "rb").read())
+    blob[16:20] = np.array([np.nan], dtype="<f4").tobytes()
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
+    violations = validate_dataset(small_tree)
+    assert len(violations) == 1
+    assert victim in violations[0] and "non-finite" in violations[0]

@@ -249,6 +249,21 @@ def test_confusion_row_sums_are_gt_counts():
         assert cm[c].sum() == (gt == c).sum()
 
 
+@pytest.mark.parametrize("bad_id", [-1, 3])
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_confusion_rejects_out_of_range_ids(side, bad_id):
+    ids = {"pred": [0, 1, 2], "gt": [0, 1, 2]}
+    ids[side] = [0, bad_id, 2]
+    with pytest.raises(DataError, match=rf"{side}: class id {bad_id} at frame 1 out of range"):
+        confusion_matrix(ids["pred"], ids["gt"], 3)
+
+
+def test_evaluate_video_rejects_negative_gt():
+    # a -1 would otherwise wrap into the last confusion row and inflate the pooled accuracy
+    with pytest.raises(DataError):
+        evaluate_video(np.array([2, 0, 1]), np.array([-1, 0, 1]), 3)
+
+
 # --- aggregate ------------------------------------------------------------------------------
 
 def _report(pred, gt):

@@ -87,13 +87,18 @@ def test_conv_zero_input(rng):
 
 
 @pytest.mark.parametrize("mode", ["causal", "symmetric"])
-@pytest.mark.parametrize("dilation", [1, 2, 4])
+@pytest.mark.parametrize("dilation", [1, 2, 4, 8, 16])
 def test_conv_matches_direct_summation(rng, mode, dilation):
     x = rng.normal(size=(13, 3))
-    w = rng.normal(size=(5, 3, 4))
+    w = Parameter(rng.normal(size=(5, 3, 4)), "w")
     b = rng.normal(size=4)
-    out = nx.dilated_conv1d(as_tensor(x), as_tensor(w), as_tensor(b), dilation, mode)
-    np.testing.assert_allclose(out.data, _conv_oracle(x, w, b, dilation, mode), atol=1e-12)
+    out = nx.dilated_conv1d(as_tensor(x), w, as_tensor(b), dilation, mode)
+    np.testing.assert_allclose(out.data, _conv_oracle(x, w.data, b, dilation, mode), atol=1e-12)
+    # a tap that reads only zero padding gets an exactly zero weight gradient
+    tensor_sum(out).backward()
+    for k in range(5):
+        offset = (k - 4) * dilation if mode == "causal" else (k - 2) * dilation
+        assert np.array_equal(w.grad[k], np.zeros((3, 4))) == (abs(offset) >= 13), k
 
 
 def test_conv_causal_never_sees_future(rng):
@@ -283,7 +288,7 @@ def _primitive_cases(rng):
         return lambda: tensor_sum(nx.temporal_norm(x, gain, bias)), [x, gain, bias]
     if kind == 4:
         K = int(rng.choice([1, 3, 5]))
-        d = int(rng.integers(1, 3))
+        d = int(rng.integers(1, 5))
         mode = "causal" if rng.integers(0, 2) else "symmetric"
         x = Parameter(rng.normal(size=(T, cin)), "x")
         w = Parameter(rng.normal(size=(K, cin, cout)), "w")
