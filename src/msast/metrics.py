@@ -5,6 +5,12 @@ averaged over classes present in the ground truth. Segmental metrics:
 edit score (normalized Levenshtein over segment label strings) and F1 at
 IoU overlap thresholds, with greedy max-IoU matching and at most one match
 per ground-truth segment. No boundary relaxation anywhere.
+
+Every frame score comes from one path: a counts[gt][pred] matrix
+(`confusion_matrix`) goes through `_frame_scores`, and `_report` adds the
+segmental scores to make an `EvalReport`. `frame_metrics`,
+`evaluate_video` and the pooled `aggregate(mode="overall")` differ only in
+the counts they pass in.
 """
 
 from dataclasses import dataclass, field
@@ -58,30 +64,40 @@ def _ratio(num: int, den: int) -> float:
     return 100.0 * num / den if den else 0.0
 
 
-def frame_metrics(pred, gt) -> FrameMetrics:
-    pred = np.asarray(pred)
-    gt = np.asarray(gt)
-    if pred.shape != gt.shape:
-        raise DataError(f"length mismatch: pred {pred.shape} vs gt {gt.shape}")
-    accuracy = 100.0 * float((pred == gt).mean())
-    per_class = {}
-    for c in sorted(np.unique(gt).tolist()):
-        tp = int(((pred == c) & (gt == c)).sum())
-        fp = int(((pred == c) & (gt != c)).sum())
-        fn = int(((pred != c) & (gt == c)).sum())
-        per_class[c] = ClassScores(
-            precision=_ratio(tp, tp + fp),
-            recall=_ratio(tp, tp + fn),
-            jaccard=_ratio(tp, tp + fp + fn),
+def _frame_scores(counts: np.ndarray, classes) -> FrameMetrics:
+    """Scores from counts[gt][pred]; row i is reported as class classes[i]."""
+    tp = np.diag(counts)
+    gt_n = counts.sum(axis=1)
+    pred_n = counts.sum(axis=0)
+    per_class = {
+        classes[i]: ClassScores(
+            precision=_ratio(int(tp[i]), int(pred_n[i])),
+            recall=_ratio(int(tp[i]), int(gt_n[i])),
+            jaccard=_ratio(int(tp[i]), int(pred_n[i] + gt_n[i] - tp[i])),
         )
+        for i in np.flatnonzero(gt_n).tolist()
+    }
     scores = list(per_class.values())
     return FrameMetrics(
-        accuracy=accuracy,
+        accuracy=_ratio(int(tp.sum()), int(gt_n.sum())),
         per_class=per_class,
         precision=float(np.mean([s.precision for s in scores])),
         recall=float(np.mean([s.recall for s in scores])),
         jaccard=float(np.mean([s.jaccard for s in scores])),
     )
+
+
+def frame_metrics(pred, gt) -> FrameMetrics:
+    """Frame scores for label sequences with arbitrary ids, keyed by label."""
+    pred = np.asarray(pred)
+    gt = np.asarray(gt)
+    if pred.shape != gt.shape:
+        raise DataError(f"length mismatch: pred {pred.shape} vs gt {gt.shape}")
+    if gt.size == 0:
+        raise DataError("frame metrics need a nonempty label sequence")
+    labels, ids = np.unique(np.concatenate([pred.ravel(), gt.ravel()]), return_inverse=True)
+    pred_ids, gt_ids = ids.reshape(2, -1)
+    return _frame_scores(confusion_matrix(pred_ids, gt_ids, len(labels)), labels.tolist())
 
 
 def _levenshtein(a: list[int], b: list[int]) -> int:
@@ -158,8 +174,10 @@ def confusion_matrix(pred, gt, num_classes: int, normalize: bool = False) -> np.
         raise DataError(f"length mismatch: pred {pred.shape} vs gt {gt.shape}")
     check_class_ids(pred, num_classes, "pred")
     check_class_ids(gt, num_classes, "gt")
-    counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(counts, (gt, pred), 1)
+    # int64 so that gt * num_classes cannot wrap in a narrow label dtype
+    flat = gt.astype(np.int64, casting="same_kind", copy=False) * num_classes + pred
+    counts = np.bincount(flat.ravel(), minlength=num_classes * num_classes)
+    counts = counts.reshape(num_classes, num_classes)
     if not normalize:
         return counts
     sums = counts.sum(axis=1, keepdims=True)
@@ -185,31 +203,31 @@ class EvalReport:
     video_id: str | None = None
 
 
-def evaluate_video(pred, gt, num_classes: int, video_id: str | None = None) -> EvalReport:
-    pred = np.asarray(pred)
-    gt = np.asarray(gt)
-    fm = frame_metrics(pred, gt)
-    pred_segs = segments_from_labels(pred)
-    gt_segs = segments_from_labels(gt)
-    f1_at = {}
-    f1_counts = {}
-    for thresh in F1_THRESHOLDS:
-        tp, fp, fn = _overlap_counts(pred_segs, gt_segs, thresh / 100.0)
-        f1_counts[thresh] = (tp, fp, fn)
-        f1_at[thresh] = _f1_from_counts(tp, fp, fn)[2]
+def _report(confusion: np.ndarray, f1_counts: dict[int, tuple[int, int, int]],
+            edit: float, video_id: str | None) -> EvalReport:
+    fm = _frame_scores(confusion, range(confusion.shape[0]))
+    f1_at = {t: _f1_from_counts(*f1_counts[t])[2] for t in F1_THRESHOLDS}
     return EvalReport(
         accuracy=fm.accuracy,
         precision=fm.precision,
         recall=fm.recall,
         jaccard=fm.jaccard,
-        edit=edit_score(pred_segs, gt_segs),
+        edit=edit,
         f1_at=f1_at,
         f1_avg=f1_avg(f1_at[10], f1_at[25], f1_at[50]),
         per_class=fm.per_class,
-        confusion=confusion_matrix(pred, gt, num_classes),
+        confusion=confusion,
         f1_counts=f1_counts,
         video_id=video_id,
     )
+
+
+def evaluate_video(pred, gt, num_classes: int, video_id: str | None = None) -> EvalReport:
+    pred_segs = segments_from_labels(pred)
+    gt_segs = segments_from_labels(gt)
+    return _report(confusion_matrix(pred, gt, num_classes),
+                   {t: _overlap_counts(pred_segs, gt_segs, t / 100.0) for t in F1_THRESHOLDS},
+                   edit_score(pred_segs, gt_segs), video_id)
 
 
 def _scalar_metrics(report: EvalReport) -> dict[str, float]:
@@ -247,40 +265,13 @@ def aggregate(reports: list[EvalReport], mode: str = "overall"):
         return summary
     if mode != "overall":
         raise DataError(f"unknown aggregate mode {mode!r}")
-    confusion = np.sum([r.confusion for r in reports], axis=0)
-    tp_c = np.diag(confusion)
-    gt_c = confusion.sum(axis=1)
-    pred_c = confusion.sum(axis=0)
-    per_class = {}
-    for c in np.flatnonzero(gt_c).tolist():
-        tp = int(tp_c[c])
-        per_class[c] = ClassScores(
-            precision=_ratio(tp, int(pred_c[c])),
-            recall=_ratio(tp, int(gt_c[c])),
-            jaccard=_ratio(tp, int(pred_c[c] + gt_c[c] - tp)),
-        )
-    scores = list(per_class.values())
-    f1_at = {}
-    f1_counts = {}
-    for thresh in F1_THRESHOLDS:
-        tp = sum(r.f1_counts[thresh][0] for r in reports)
-        fp = sum(r.f1_counts[thresh][1] for r in reports)
-        fn = sum(r.f1_counts[thresh][2] for r in reports)
-        f1_counts[thresh] = (tp, fp, fn)
-        f1_at[thresh] = _f1_from_counts(tp, fp, fn)[2]
-    return EvalReport(
-        accuracy=_ratio(int(tp_c.sum()), int(confusion.sum())),
-        precision=float(np.mean([s.precision for s in scores])),
-        recall=float(np.mean([s.recall for s in scores])),
-        jaccard=float(np.mean([s.jaccard for s in scores])),
-        edit=float(np.mean([r.edit for r in reports])),
-        f1_at=f1_at,
-        f1_avg=f1_avg(f1_at[10], f1_at[25], f1_at[50]),
-        per_class=per_class,
-        confusion=confusion,
-        f1_counts=f1_counts,
-        video_id=None,
-    )
+    shapes = {r.confusion.shape for r in reports}
+    if len(shapes) != 1:
+        raise DataError(f"reports have confusion matrices of different sizes: {sorted(shapes)}")
+    return _report(np.sum([r.confusion for r in reports], axis=0),
+                   {t: tuple(map(sum, zip(*(r.f1_counts[t] for r in reports))))
+                    for t in F1_THRESHOLDS},
+                   float(np.mean([r.edit for r in reports])), None)
 
 
 def report_lines(report: EvalReport, prefix: str = "") -> list[str]:
@@ -307,9 +298,10 @@ RIBBON_PALETTE = (
     (188, 189, 34), (23, 190, 207), (174, 199, 232), (255, 187, 120),
     (152, 223, 138), (255, 152, 150), (197, 176, 213), (196, 156, 148),
 )
+RIBBON_BAND_HEIGHT = 16  # pixel rows per sequence
 
 
-def emit_ribbon(sequences: list[tuple[str, np.ndarray]], path, band_height: int = 16):
+def emit_ribbon(sequences: list[tuple[str, np.ndarray]], path):
     """Write a binary PPM (P6): one horizontal band per named sequence, one
     pixel column per frame, colored by class id."""
     if not sequences:
@@ -321,13 +313,13 @@ def emit_ribbon(sequences: list[tuple[str, np.ndarray]], path, band_height: int 
     if width == 0:
         raise DataError("ribbon sequences are empty")
     palette = np.asarray(RIBBON_PALETTE, dtype=np.uint8)
-    height = band_height * len(sequences)
+    height = RIBBON_BAND_HEIGHT * len(sequences)
     pixels = np.empty((height, width, 3), dtype=np.uint8)
     for i, (_, seq) in enumerate(sequences):
         seq = np.asarray(seq)
         if seq.min() < 0 or seq.max() >= len(palette):
             raise DataError(f"class ids must be in [0, {len(palette)}) for the default palette")
-        pixels[i * band_height:(i + 1) * band_height, :, :] = palette[seq][None, :, :]
+        pixels[i * RIBBON_BAND_HEIGHT:(i + 1) * RIBBON_BAND_HEIGHT] = palette[seq][None, :, :]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())

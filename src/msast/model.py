@@ -123,9 +123,6 @@ class StageOutputs:
 
     logits: list[Tensor]
 
-    def __len__(self) -> int:
-        return len(self.logits)
-
     def final(self) -> np.ndarray:
         return self.logits[-1].data
 

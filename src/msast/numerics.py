@@ -127,10 +127,9 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return np.ascontiguousarray(g).reshape(shape)
 
 
-def as_tensor(data, dtype=None) -> Tensor:
+def as_tensor(data) -> Tensor:
     """Wrap raw data as a non-learnable leaf."""
-    arr = np.asarray(data, dtype=dtype)
-    return Tensor(arr)
+    return Tensor(np.asarray(data))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from msast.errors import DataError
 from msast.metrics import (
+    EvalReport,
     Segment,
     aggregate,
     confusion_matrix,
@@ -82,6 +85,11 @@ def test_frame_metrics_length_mismatch():
         frame_metrics([0, 1], [0, 1, 2])
 
 
+def test_frame_metrics_empty_rejected():
+    with pytest.raises(DataError):
+        frame_metrics([], [])
+
+
 def test_frame_metrics_matches_direct_counting():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -94,6 +102,11 @@ def test_frame_metrics_matches_direct_counting():
             assert fm.per_class[c].precision == pytest.approx(p)
             assert fm.per_class[c].recall == pytest.approx(r)
             assert fm.per_class[c].jaccard == pytest.approx(j)
+        # the per-video report scores through the same path, so it matches exactly
+        report = evaluate_video(pred, gt, 5)
+        assert (report.accuracy, report.precision, report.recall, report.jaccard) == \
+            (fm.accuracy, fm.precision, fm.recall, fm.jaccard)
+        assert report.per_class == fm.per_class
 
 
 def test_accuracy_symmetry_and_precision_recall_duality():
@@ -247,6 +260,9 @@ def test_confusion_row_sums_are_gt_counts():
     cm = confusion_matrix(pred, gt, 5)
     for c in range(5):
         assert cm[c].sum() == (gt == c).sum()
+    # uint8 ids 15..19 with 20 classes: gt * 20 would wrap in uint8
+    narrow = confusion_matrix(pred.astype(np.uint8) + 15, gt.astype(np.uint8) + 15, 20)
+    assert np.array_equal(narrow[15:, 15:], cm)
 
 
 @pytest.mark.parametrize("bad_id", [-1, 3])
@@ -271,10 +287,18 @@ def _report(pred, gt):
 
 
 def test_aggregate_single_video():
-    report = _report([0, 1, 1], [0, 1, 2])
-    summary = aggregate([report], mode="per_video")
-    assert summary["accuracy_mean"] == pytest.approx(report.accuracy)
-    assert summary["accuracy_std"] == 0.0
+    # [1, 1, 0] vs [0, 0, 0] scores 1/3 correct, where 100*(1/3) and 100*1/3 differ in the last place
+    for pred, gt in (([0, 1, 1], [0, 1, 2]), ([1, 1, 0], [0, 0, 0])):
+        report = _report(pred, gt)
+        summary = aggregate([report], mode="per_video")
+        assert summary["accuracy_mean"] == pytest.approx(report.accuracy)
+        assert summary["accuracy_std"] == 0.0
+        overall = aggregate([report], mode="overall")
+        for f in fields(EvalReport):
+            if f.name == "confusion":
+                assert np.array_equal(overall.confusion, report.confusion)
+            else:
+                assert getattr(overall, f.name) == getattr(report, f.name), f.name
 
 
 def test_aggregate_mean_and_population_std():
@@ -299,6 +323,12 @@ def test_aggregate_overall_pools_frame_counts():
 def test_aggregate_empty_rejected():
     with pytest.raises(DataError):
         aggregate([], mode="overall")
+
+
+def test_aggregate_overall_rejects_mixed_class_counts():
+    pred, gt = np.array([0, 1]), np.array([0, 0])
+    with pytest.raises(DataError, match="different sizes"):
+        aggregate([evaluate_video(pred, gt, 2), evaluate_video(pred, gt, 3)], mode="overall")
 
 
 # --- ribbon ----------------------------------------------------------------------------------
