@@ -51,7 +51,7 @@ from .model import (
     multiscale_fuse,
     predict,
 )
-from .numerics import Parameter, Tensor, finite_diff_check, no_grad
+from .numerics import Parameter, Tensor, no_grad
 from .training import (
     AdamState,
     TrainConfig,

@@ -12,6 +12,7 @@ are O(T * (chunk + width)), not O(T^2), and a sequence of at most `_CHUNK`
 frames is a single dense chunk.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +62,7 @@ class WindowSpec:
                 )
 
     @classmethod
+    @functools.lru_cache(maxsize=256)  # frozen, so one instance per geometry is shared
     def from_schedule(cls, kernel_size: int, layer_index: int, causal: bool) -> "WindowSpec":
         return cls(
             window_size=window_schedule(kernel_size, layer_index),
@@ -84,34 +86,48 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec) 
     out_t = sum over admissible t' of softmax(q_t . k_t' / sqrt(C)) v_t'.
     Causal windows cover [t-w+1, t]; acausal windows are centered, covering
     |t - t'| <= w // 2.
+
+    k and v hold T rows; q may hold only the last n of them, and the output
+    is then those n rows (row i is position T - n + i), as a streamed step
+    needs against its cached keys and values. A width-1 window is the
+    identity on v: no scores are formed, and q and k get no gradient.
     """
-    if q.data.shape != k.data.shape or q.data.shape != v.data.shape:
+    if k.data.shape != v.data.shape or q.data.shape[1:] != k.data.shape[1:]:
         raise ShapeError(
             f"attention operands must share a shape: q {q.data.shape}, "
             f"k {k.data.shape}, v {v.data.shape}"
         )
-    if q.data.ndim != 2 or q.data.shape[1] < 1:
-        raise ShapeError(f"attention needs a T x C matrix, got {q.data.shape}")
-    T, C = q.data.shape
+    if q.data.ndim != 2 or q.data.shape[1] < 1 or not 1 <= q.data.shape[0] <= k.data.shape[0]:
+        raise ShapeError(f"attention needs n x C queries against T >= n keys, "
+                         f"got q {q.data.shape}, k {k.data.shape}")
+    (n, C), T = q.data.shape, k.data.shape[0]
+    o = T - n  # position of query row 0
+    vd = v.data
+    if spec.window_size == 1:
+        if not _tracking(v):
+            return Tensor(vd[o:])
+        return Tensor(vd[o:], True, (v,), lambda g: _accumulate(v, np.pad(g, ((o, 0), (0, 0)))))
     left, right = _band_extent(T, spec.window_size, spec.causal)
     inv_sqrt = q.data.dtype.type(1.0 / math.sqrt(C))
     qs = q.data * inv_sqrt
-    kd, vd = k.data, v.data
-    # Column j of `bias` is key s - left + j for chunk row i (query s + i), so a
-    # chunk's bias is the column slice at its clipped slab start. Adding -inf
-    # out of the window makes those scores weigh exactly zero after exp.
-    n = min(T, _CHUNK)
-    rel = np.arange(n + left + right)[None, :] - np.arange(n)[:, None]
-    bias = np.where((rel < 0) | (rel > left + right), NEG_INF, 0.0).astype(qs.dtype)
+    kd = k.data
+    bias = None
     out_data = np.empty_like(qs)
     tracking = _tracking(q, k, v)
     chunks = []
-    for s in range(0, T, _CHUNK):
-        e = min(s + _CHUNK, T)
-        a, b = max(0, s - left), min(T, e + right)
+    for s in range(0, n, _CHUNK):
+        e = min(s + _CHUNK, n)
+        a, b = max(0, o + s - left), min(T, o + e + right)
         probs = qs[s:e] @ kd[a:b].T
-        if a - e + 1 < -left or b - 1 - s > right:
-            c = a - s + left
+        if a - (o + e) + 1 < -left or b - 1 - (o + s) > right:
+            if bias is None:
+                # Column j is key p - left + j for chunk row i (query p + i), so a
+                # chunk's bias is the column slice at its clipped slab start.
+                # -inf out of the window weighs exactly zero after exp. Later
+                # chunks are no taller than this one.
+                rel = np.arange(e - s + left + right)[None, :] - np.arange(e - s)[:, None]
+                bias = np.where((rel < 0) | (rel > left + right), NEG_INF, 0.0).astype(qs.dtype)
+            c = a - (o + s) + left
             probs += bias[:e - s, c:c + b - a]
         probs -= probs.max(axis=1, keepdims=True)
         np.exp(probs, out=probs)

@@ -11,6 +11,9 @@ work. Exit codes are a stable contract:
 import argparse
 import os
 import sys
+import time
+
+import numpy as np
 
 from . import data as dio
 from . import metrics as mx
@@ -239,12 +242,17 @@ def cmd_stream(args) -> int:
         raise ShapeError(f"feature dim mismatch: checkpoint expects {model.cfg.input_dim}, "
                          f"found {features.shape[1]}")
     state = StreamState()
+    seconds = []
     with open(args.out, "w", encoding="utf-8") as fh:
         for t in range(features.shape[0]):
+            start = time.perf_counter()
             logits = forward_stream(model, features[t:t + 1], state)
+            seconds.append(time.perf_counter() - start)
             fh.write(f"{int(labels_from_logits(logits)[0])}\n")
             fh.flush()  # one prediction per frame, as it arrives
     print(f"streamed {features.shape[0]} frames to {args.out}")
+    p50, p99 = 1e3 * np.percentile(seconds, [50, 99])
+    print(f"forward_stream per frame: p50 {p50:.2f} ms, p99 {p99:.2f} ms")
     return 0
 
 

@@ -126,20 +126,26 @@ def _segment_iou(a: Segment, b: Segment) -> float:
     return inter / union
 
 
-def _overlap_counts(pred_segments, gt_segments, tau: float) -> tuple[int, int, int]:
-    """(tp, fp, fn) under greedy max-IoU matching, one match per gt segment."""
-    matched = [False] * len(gt_segments)
-    tp = fp = 0
+def _best_matches(pred_segments, gt_segments) -> list[tuple[int, float]]:
+    """(index, IoU) of each predicted segment's best same-label gt segment,
+    the first of equals; it does not depend on the overlap threshold."""
+    matches = []
     for ps in pred_segments:
         ious = [_segment_iou(ps, gs) if ps.label == gs.label else 0.0 for gs in gt_segments]
-        best = int(np.argmax(ious)) if ious else 0
-        if ious and ious[best] >= tau and not matched[best]:
+        best = int(np.argmax(ious))
+        matches.append((best, ious[best]))
+    return matches
+
+
+def _overlap_counts(matches, num_gt: int, tau: float) -> tuple[int, int, int]:
+    """(tp, fp, fn) under greedy max-IoU matching, one match per gt segment."""
+    matched = [False] * num_gt
+    tp = 0
+    for best, iou in matches:
+        if iou >= tau and not matched[best]:
             tp += 1
             matched[best] = True
-        else:
-            fp += 1
-    fn = matched.count(False)
-    return tp, fp, fn
+    return tp, len(matches) - tp, num_gt - tp
 
 
 def f1_at_overlap(pred, gt, threshold: float) -> tuple[float, float, float]:
@@ -150,8 +156,9 @@ def f1_at_overlap(pred, gt, threshold: float) -> tuple[float, float, float]:
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise DataError(f"length mismatch: pred {pred.shape} vs gt {gt.shape}")
-    tp, fp, fn = _overlap_counts(segments_from_labels(pred), segments_from_labels(gt), threshold)
-    return _f1_from_counts(tp, fp, fn)
+    gt_segs = segments_from_labels(gt)
+    matches = _best_matches(segments_from_labels(pred), gt_segs)
+    return _f1_from_counts(*_overlap_counts(matches, len(gt_segs), threshold))
 
 
 def _f1_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -225,8 +232,9 @@ def _report(confusion: np.ndarray, f1_counts: dict[int, tuple[int, int, int]],
 def evaluate_video(pred, gt, num_classes: int, video_id: str | None = None) -> EvalReport:
     pred_segs = segments_from_labels(pred)
     gt_segs = segments_from_labels(gt)
+    matches = _best_matches(pred_segs, gt_segs)
     return _report(confusion_matrix(pred, gt, num_classes),
-                   {t: _overlap_counts(pred_segs, gt_segs, t / 100.0) for t in F1_THRESHOLDS},
+                   {t: _overlap_counts(matches, len(gt_segs), t / 100.0) for t in F1_THRESHOLDS},
                    edit_score(pred_segs, gt_segs), video_id)
 
 

@@ -12,8 +12,15 @@ with h_base the kernel-3 branch, mix_j learned scalars, and alpha 1 in the
 encoder and first decoder, then decaying by alpha_base per decoder.
 
 Causal models use causal convolutions and windows and carry no temporal
-normalization, so logits at time t never depend on frames after t; that is
-what makes the streaming pass exact.
+normalization, so logits at time t never depend on frames after t. Each
+causal block looks back a bounded distance: its convs read the last
+(K_max-1)*2^(l-1) block inputs and its attention the last w-1 keys and
+values of each scale. Streaming keeps exactly those rows per (stage, layer)
+in a `StreamState` (Fast WaveNet queues, Paine et al. 2016; Transformer-XL
+key/value caching, Dai et al. 2019) and runs the same block code on the new
+frame alone, so a frame costs the same at any t and the state stops
+growing once t passes the widest reach. A full causal pass is that code on
+all T frames with no history.
 """
 
 import math
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nx
-from .attention import WindowSpec, sliding_window_attention
+from .attention import WindowSpec, sliding_window_attention, window_schedule
 from .errors import ConfigError, ModeError, ShapeError
 from .numerics import Parameter, Tensor, no_grad
 
@@ -127,23 +134,64 @@ class StageOutputs:
         return self.logits[-1].data
 
 
+class _RowQueue:
+    """The newest `keep` rows of a stream, contiguous in a fixed buffer.
+
+    Rows shift to the front once per keep // 4 + 1 pushes rather than on
+    every push. Untouched buffer pages cost no resident memory.
+    """
+
+    def __init__(self, keep: int, width: int, dtype):
+        self.keep = keep
+        self.rows = np.zeros((keep + keep // 4 + 1, width), dtype=dtype)
+        self.end = 0
+
+    def push(self, new: np.ndarray) -> np.ndarray:
+        """Append `new` (at most keep // 4 + 1 rows); return [up to `keep`
+        older rows | new] as one view."""
+        if self.end + len(new) > len(self.rows):
+            live = min(self.end, self.keep)
+            self.rows[:live] = self.rows[self.end - live:self.end]
+            self.end = live
+        self.rows[self.end:self.end + len(new)] = new
+        self.end += len(new)
+        return self.rows[max(0, self.end - len(new) - self.keep):self.end]
+
+
+class _BlockCache:
+    """What a causal block at `layer` reads of its past: the last
+    (K_max-1)*2^(l-1) block inputs for its convs, and the last w-1 keys
+    and values of each scale branch for attention."""
+
+    def __init__(self, cfg: ModelConfig, layer: int, dtype):
+        keeps = [window_schedule(k, layer) - 1 for k in cfg.kernels]
+        self.inputs = _RowQueue((max(cfg.kernels) - 1) << (layer - 1), cfg.feature_maps, dtype)
+        self.keys = [_RowQueue(w, cfg.feature_maps, dtype) for w in keeps]
+        self.values = [_RowQueue(w, cfg.feature_maps, dtype) for w in keeps]
+
+
 class StreamState:
-    """Frame buffer for online inference; owned by a single consumer."""
+    """Online-inference cache, owned by a single consumer.
+
+    Holds one `_BlockCache` per (stage, layer), sized from the model config
+    on the first frame; `len` is the number of frames streamed.
+    """
 
     def __init__(self):
-        self._frames: list[np.ndarray] = []
+        self.frames = 0
+        self.blocks: list[list[_BlockCache]] | None = None
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return self.frames
 
-    def append(self, frame: np.ndarray):
-        self._frames.append(frame)
-
-    def prefix(self) -> np.ndarray:
-        return np.concatenate(self._frames, axis=0)
+    @property
+    def nbytes(self) -> int:
+        return sum(q.rows.nbytes for stage in self.blocks or () for c in stage
+                   for q in (c.inputs, *c.keys, *c.values))
 
     def reset(self):
-        self._frames.clear()
+        self.frames = 0
+        self.blocks = None
 
 
 def alpha_schedule(decoder_index: int, alpha_base: float) -> float:
@@ -169,16 +217,23 @@ def multiscale_fuse(h_base: Tensor, attn_outs, weights, alpha: float) -> Tensor:
 
 
 def block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer: int,
-                  alpha: float, cfg: ModelConfig, rng=None, training: bool = False) -> Tensor:
+                  alpha: float, cfg: ModelConfig, rng=None, training: bool = False,
+                  cache: _BlockCache | None = None) -> Tensor:
     """Encoder block (enc_out None: Q, K, V from the conv branch) or decoder
     block (Q and K read [branch | enc_out], V the branch only). A mismatched
-    enc_out raises ShapeError from concat_channels or matmul."""
+    enc_out raises ShapeError from concat_channels or matmul.
+
+    With a cache (causal streaming, no tape) x holds only the new rows: the
+    convs read them after the cached inputs, attention reads the new keys
+    and values after the cached ones, and the cache keeps the newest rows."""
     dilation = 1 << (layer - 1)
     mode = "causal" if cfg.causal else "symmetric"
+    rows = x.data.shape[0]
+    src = x if cache is None else nx.as_tensor(cache.inputs.push(x.data))
     attn_outs = []
     h_base = None
-    for kernel, br in zip(cfg.kernels, params.branches):
-        h = nx.relu(nx.dilated_conv1d(x, br.conv_w, br.conv_b, dilation, mode))
+    for j, (kernel, br) in enumerate(zip(cfg.kernels, params.branches)):
+        h = nx.relu(nx.dilated_conv1d(src, br.conv_w, br.conv_b, dilation, mode, rows))
         if h_base is None:
             h_base = h
         n = h if cfg.causal else nx.temporal_norm(h, params.norm_gain, params.norm_bias)
@@ -186,6 +241,9 @@ def block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer:
         q = nx.matmul(qk_src, br.wq)
         k = nx.matmul(qk_src, br.wk)
         v = nx.matmul(n, br.wv)
+        if cache is not None:
+            k = nx.as_tensor(cache.keys[j].push(k.data))
+            v = nx.as_tensor(cache.values[j].push(v.data))
         spec = WindowSpec.from_schedule(kernel, layer, cfg.causal)
         attn_outs.append(sliding_window_attention(q, k, v, spec))
     fused = multiscale_fuse(h_base, attn_outs, [br.mix for br in params.branches], alpha)
@@ -261,12 +319,31 @@ def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> Model:
 
 
 def _run_stage(h: Tensor, stage: StageParams, cfg: ModelConfig, enc_hidden: Tensor | None,
-               alpha: float, rng, training: bool) -> tuple[Tensor, Tensor]:
+               alpha: float, rng, training: bool, caches: list) -> tuple[Tensor, Tensor]:
     """Returns (final hidden state, logits) for one stage."""
-    for layer in range(1, cfg.layers_per_stage + 1):
-        h = block_forward(h, enc_hidden, stage.blocks[layer - 1], layer, alpha, cfg, rng, training)
+    for layer, (params, cache) in enumerate(zip(stage.blocks, caches), start=1):
+        h = block_forward(h, enc_hidden, params, layer, alpha, cfg, rng, training, cache)
     logits = nx.add(nx.matmul(h, stage.head_w), stage.head_b)
     return h, logits
+
+
+def _forward(model: Model, features: np.ndarray, rng, training: bool,
+             caches=None) -> StageOutputs:
+    """All stages over `features`: the whole sequence when caches is None,
+    else the newest frames of a stream whose past the caches hold."""
+    cfg = model.cfg
+    caches = caches or [[None] * cfg.layers_per_stage] * (1 + cfg.num_decoders)
+    x = nx.as_tensor(features.astype(model.dtype, copy=False))
+    h = nx.add(nx.matmul(x, model.encoder.in_w), model.encoder.in_b)
+    enc_hidden, logits = _run_stage(h, model.encoder, cfg, None, 1.0, rng, training, caches[0])
+    stages = [logits]
+    for d, dec in enumerate(model.decoders, start=1):
+        alpha = alpha_schedule(d, cfg.alpha_base)
+        inp = nx.softmax_rows(stages[-1])
+        h = nx.add(nx.matmul(inp, dec.in_w), dec.in_b)
+        _, logits = _run_stage(h, dec, cfg, enc_hidden, alpha, rng, training, caches[d])
+        stages.append(logits)
+    return StageOutputs(stages)
 
 
 def forward_full(model: Model, features: np.ndarray, mode: str = "infer",
@@ -285,34 +362,22 @@ def forward_full(model: Model, features: np.ndarray, mode: str = "infer",
     T = features.shape[0]
     if T < 1 or (not cfg.causal and T < 2):
         raise ShapeError(f"sequence too short for this model: T={T}, causal={cfg.causal}")
-    training = mode == "train"
-    if training and cfg.dropout > 0 and rng is None:
-        raise ConfigError("training forward with dropout > 0 needs an rng")
-
-    def run():
-        x = nx.as_tensor(features.astype(model.dtype, copy=False))
-        h = nx.add(nx.matmul(x, model.encoder.in_w), model.encoder.in_b)
-        enc_hidden, logits = _run_stage(h, model.encoder, cfg, None, 1.0, rng, training)
-        stages = [logits]
-        for d, dec in enumerate(model.decoders, start=1):
-            alpha = alpha_schedule(d, cfg.alpha_base)
-            inp = nx.softmax_rows(stages[-1])
-            h = nx.add(nx.matmul(inp, dec.in_w), dec.in_b)
-            _, logits = _run_stage(h, dec, cfg, enc_hidden, alpha, rng, training)
-            stages.append(logits)
-        return StageOutputs(stages)
-
-    if training:
-        return run()
+    if mode == "train":
+        if cfg.dropout > 0 and rng is None:
+            raise ConfigError("training forward with dropout > 0 needs an rng")
+        return _forward(model, features, rng, True)
     with no_grad():
-        return run()
+        return _forward(model, features, rng, False)
 
 
 def forward_stream(model: Model, next_feature_frame: np.ndarray, state: StreamState) -> np.ndarray:
     """Append one frame and return the final-stage logits for it (1 x num_classes).
 
-    Reference semantics: recompute over the stored prefix; causality makes
-    the newest row equal to the same row of a full-sequence pass.
+    Runs the causal blocks on this frame alone against the rows `state`
+    caches from earlier frames (created on the first frame), so the cost
+    per frame and the state's size stay bounded however long the stream
+    runs. Causality makes the result equal, up to float rounding, to the
+    same row of a full-sequence pass.
     """
     if not model.cfg.causal:
         raise ModeError("streaming requires a causal model")
@@ -321,9 +386,14 @@ def forward_stream(model: Model, next_feature_frame: np.ndarray, state: StreamSt
         frame = frame[None, :]
     if frame.shape != (1, model.cfg.input_dim):
         raise ShapeError(f"stream frame shape {frame.shape}, expected (1, {model.cfg.input_dim})")
-    state.append(frame.astype(model.dtype, copy=True))
-    outputs = forward_full(model, state.prefix(), mode="infer")
-    return outputs.final()[-1:].copy()
+    if state.blocks is None:
+        state.blocks = [[_BlockCache(model.cfg, layer, model.dtype)
+                         for layer in range(1, model.cfg.layers_per_stage + 1)]
+                        for _ in range(1 + model.cfg.num_decoders)]
+    with no_grad():
+        logits = _forward(model, frame, None, False, state.blocks).final()
+    state.frames += 1
+    return logits
 
 
 def labels_from_logits(logits: np.ndarray) -> np.ndarray:

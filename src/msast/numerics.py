@@ -8,11 +8,10 @@ RNG state, so concurrent read-only use is safe.
 """
 
 import contextlib
-import math
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, ShapeError
 
 _grad_enabled = True
 
@@ -289,23 +288,34 @@ def _tap_offsets(kernel: int, dilation: int, mode: str) -> list[int]:
     raise ConfigError(f"unknown conv mode {mode!r}")
 
 
-def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, mode: str) -> Tensor:
+def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, mode: str,
+                   rows: int | None = None) -> Tensor:
     """1-D dilated convolution over the time axis with zero padding.
 
     x: (T, Cin), w: (K, Cin, Cout), b: (Cout,).
     causal:     y_t = b + sum_k w_k . x[t - (K-1-k)*d]   (taps at or before t)
     symmetric:  y_t = b + sum_k w_k . x[t + (k - K//2)*d]
     Realized per tap: y starts as b and each tap adds x[src] @ w_k into the
-    rows it reaches. A tap that reads only zero padding (|offset| >= T) is
-    skipped, and its weight gradient stays exactly zero.
+    rows it reaches. A tap that reads only zero padding is skipped, and its
+    weight gradient stays exactly zero.
+
+    `rows` = n computes only the last n output rows (y_{T-n} .. y_{T-1}), as
+    a streamed step does over [cached inputs | new inputs]; default all T.
     """
     if x.data.ndim != 2 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"conv shapes incompatible: x {x.data.shape}, w {w.data.shape}")
     xd, wd = x.data, w.data
     T = xd.shape[0]
-    taps = [(k, slice(max(s, 0), T + min(s, 0)), slice(max(-s, 0), T - max(s, 0)))
-            for k, s in enumerate(_tap_offsets(wd.shape[0], dilation, mode)) if abs(s) < T]
-    out_data = np.empty((T, wd.shape[2]), dtype=np.result_type(xd, wd, b.data))
+    n = T if rows is None else rows
+    if not 1 <= n <= T:
+        raise ShapeError(f"conv output rows must be in [1, {T}], got {n}")
+    o = T - n  # input row of output row 0
+    taps = []
+    for k, s in enumerate(_tap_offsets(wd.shape[0], dilation, mode)):
+        lo, hi = max(0, -o - s), n - max(s, 0)
+        if lo < hi:
+            taps.append((k, slice(lo + o + s, hi + o + s), slice(lo, hi)))
+    out_data = np.empty((n, wd.shape[2]), dtype=np.result_type(xd, wd, b.data))
     out_data[:] = b.data
     for k, src, dst in taps:
         out_data[dst] += xd[src] @ wd[k]
@@ -339,40 +349,3 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g[:, ca:].copy())
 
     return Tensor(out_data, True, (a, b), backward)
-
-
-def finite_diff_check(f, params, eps: float = 1e-4) -> float:
-    """Worst relative error between analytic gradients and central differences.
-
-    `f` must be a deterministic closure returning a scalar Tensor (dropout
-    off or frozen); run it in float64. Every element of every parameter is
-    perturbed by +-eps. Relative error uses |a - n| / (|a| + |n| + 1e-4) so
-    near-zero gradients are judged on absolute error.
-    """
-    params = list(params)
-    for p in params:
-        p.grad = None
-    loss = f()
-    if not np.isfinite(loss.data).all():
-        raise NumericError("finite_diff_check: loss is non-finite at the base point")
-    loss.backward()
-    analytic = {p.name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy()) for p in params}
-    worst = 0.0
-    with no_grad():
-        for p in params:
-            flat = p.data.reshape(-1)
-            ga = analytic[p.name].reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                f_plus = f().item()
-                flat[i] = orig - eps
-                f_minus = f().item()
-                flat[i] = orig
-                if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                    raise NumericError(f"finite_diff_check: non-finite loss perturbing {p.name}[{i}]")
-                numeric = (f_plus - f_minus) / (2.0 * eps)
-                rel = abs(ga[i] - numeric) / (abs(ga[i]) + abs(numeric) + 1e-4)
-                if rel > worst:
-                    worst = rel
-    return worst

@@ -1,8 +1,9 @@
-"""Brute-force reference implementations for attention and metric tests.
+"""Brute-force reference implementations for attention and metric tests,
+and the central-difference gradient check.
 
 Deliberately naive: an explicit T x T mask and a literal masked softmax for
 attention, recursion + memo for edit distance, per-frame sets for IoU, plain
-python counting loops. These never share code with the package.
+python counting loops. These never share code with the package's kernels.
 """
 
 import functools
@@ -10,7 +11,8 @@ import math
 
 import numpy as np
 
-from msast.errors import ConfigError, ShapeError
+from msast.errors import ConfigError, NumericError, ShapeError
+from msast.numerics import no_grad
 
 
 def attention_mask(T: int, window: int, causal: bool) -> np.ndarray:
@@ -130,3 +132,40 @@ def random_label_pair(rng, max_len=50, max_classes=5):
             out.extend([int(rng.integers(0, C))] * int(rng.integers(1, 10)))
         return np.asarray(out[:T])
     return draw(), draw()
+
+
+def finite_diff_check(f, params, eps: float = 1e-4) -> float:
+    """Worst relative error between analytic gradients and central differences.
+
+    `f` must be a deterministic closure returning a scalar Tensor (dropout
+    off or frozen); run it in float64. Every element of every parameter is
+    perturbed by +-eps. Relative error uses |a - n| / (|a| + |n| + 1e-4) so
+    near-zero gradients are judged on absolute error.
+    """
+    params = list(params)
+    for p in params:
+        p.grad = None
+    loss = f()
+    if not np.isfinite(loss.data).all():
+        raise NumericError("finite_diff_check: loss is non-finite at the base point")
+    loss.backward()
+    analytic = {p.name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy()) for p in params}
+    worst = 0.0
+    with no_grad():
+        for p in params:
+            flat = p.data.reshape(-1)
+            ga = analytic[p.name].reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                f_plus = f().item()
+                flat[i] = orig - eps
+                f_minus = f().item()
+                flat[i] = orig
+                if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
+                    raise NumericError(f"finite_diff_check: non-finite loss perturbing {p.name}[{i}]")
+                numeric = (f_plus - f_minus) / (2.0 * eps)
+                rel = abs(ga[i] - numeric) / (abs(ga[i]) + abs(numeric) + 1e-4)
+                if rel > worst:
+                    worst = rel
+    return worst

@@ -15,12 +15,12 @@ from msast.data import SynthConfig, generate_synthetic
 from msast.metrics import aggregate, edit_score, evaluate_video, f1_at_overlap, f1_avg, \
     frame_metrics, segments_from_labels
 from msast.model import ModelConfig, build_model, forward_full, predict
-from msast.numerics import as_tensor, finite_diff_check
+from msast.numerics import as_tensor
 from msast.training import AdamState, TrainConfig, capture_smooth_prev, load_checkpoint, \
     total_loss, train
 
 from tests.oracles import attention_mask, brute_edit_score, brute_f1, brute_frame_metrics, \
-    dense_masked_attention_reference, random_label_pair
+    dense_masked_attention_reference, finite_diff_check, random_label_pair
 from tests.single_scale_reference import single_scale_forward
 
 

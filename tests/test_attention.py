@@ -3,6 +3,7 @@ import pytest
 
 from msast.attention import WindowSpec, sliding_window_attention, window_schedule
 from msast.errors import ConfigError, ShapeError
+from msast import numerics as nx
 from msast.numerics import as_tensor
 
 from tests.oracles import attention_mask, dense_masked_attention_reference
@@ -119,6 +120,36 @@ def test_window1_returns_v_exactly(rng):
         assert np.array_equal(out.data, v.data)
 
 
+def test_window1_backward_is_identity_on_v(rng):
+    from msast.numerics import Parameter
+    from tests.test_numerics import tensor_sum
+
+    for causal in (True, False):
+        q, k, v = (Parameter(rng.normal(size=(9, 4)), name) for name in "qkv")
+        out = sliding_window_attention(q, k, v, WindowSpec(window_size=1, causal=causal))
+        assert np.array_equal(out.data, v.data)
+        g = rng.normal(size=(9, 4))
+        tensor_sum(nx.mul(out, as_tensor(g))).backward()
+        assert np.array_equal(v.grad, g)
+        for p in (q, k):
+            assert p.grad is None or not p.grad.any()
+
+
+@pytest.mark.parametrize("causal", [True, False])
+def test_last_rows_match_full_output(rng, causal):
+    # queries for the last n rows only, against all T keys and values
+    for T, w in [(10, 4), (150, 70), (200, 16), (65, 1)]:
+        q, k, v = (rng.normal(size=(T, 5)) for _ in range(3))
+        spec = WindowSpec(window_size=w, causal=causal)
+        full = sliding_window_attention(as_tensor(q), as_tensor(k), as_tensor(v), spec).data
+        for n in (1, 3, 64, T):
+            if n > T:
+                continue
+            got = sliding_window_attention(as_tensor(q[T - n:]), as_tensor(k), as_tensor(v), spec)
+            np.testing.assert_allclose(got.data, full[T - n:], atol=1e-12,
+                                       err_msg=f"T={T} w={w} n={n}")
+
+
 def test_saturated_window_equals_full_attention(rng):
     q, k, v = (rng.normal(size=(3, 4)) for _ in range(3))
     out = sliding_window_attention(as_tensor(q), as_tensor(k), as_tensor(v),
@@ -194,7 +225,8 @@ def test_shape_mismatch_rejected(rng):
 
 
 def test_attention_gradients_match_finite_differences(rng):
-    from msast.numerics import Parameter, finite_diff_check
+    from msast.numerics import Parameter
+    from tests.oracles import finite_diff_check
     from tests.test_numerics import tensor_sum
 
     for w, causal, T in [(2, True, 7), (5, False, 9), (16, True, 10), (3, False, 24),

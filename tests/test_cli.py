@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import struct
 import tracemalloc
 
@@ -237,15 +238,21 @@ def test_stream_requires_causal_exit_6(tmp_path, dataset, trained):
                "--out", tmp_path / "s.txt") == 6
 
 
-def test_stream_matches_predict(tmp_path, dataset, causal_trained):
+def test_stream_matches_predict(tmp_path, dataset, causal_trained, capsys):
     for feature_file in sorted((dataset / "features").iterdir())[:3]:
         pred_file = tmp_path / f"{feature_file.stem}.predict.txt"
         stream_file = tmp_path / f"{feature_file.stem}.stream.txt"
         assert run("predict", "--ckpt", causal_trained, "--features", feature_file,
                    "--out", pred_file) == 0
+        capsys.readouterr()
         assert run("stream", "--ckpt", causal_trained, "--features", feature_file,
                    "--out", stream_file) == 0
         assert pred_file.read_bytes() == stream_file.read_bytes()
+        latency = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("forward_stream per frame:")]
+        assert len(latency) == 1
+        assert re.fullmatch(r"forward_stream per frame: p50 \d+\.\d\d ms, p99 \d+\.\d\d ms",
+                            latency[0])
 
 
 def test_predict_consistent_with_eval(tmp_path, dataset, trained):

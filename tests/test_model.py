@@ -317,6 +317,44 @@ def test_stream_matches_full_forward(rng):
         assert step[0].argmax() == full[t].argmax()
 
 
+def test_stream_matches_full_forward_after_every_cache_wraps(rng):
+    model = tiny_model(causal=True, layers_per_stage=3, seed=4)
+    reach = (max(model.cfg.kernels) - 1) << (model.cfg.layers_per_stage - 1)  # 16 block inputs
+    T = 5 * reach
+    feats = rng.normal(size=(T, 4)).astype(np.float32)
+    full = forward_full(model, feats).final()
+    state = StreamState()
+    for t in range(T):
+        step = forward_stream(model, feats[t], state)
+        np.testing.assert_allclose(step[0], full[t], rtol=1e-4, atol=1e-5, err_msg=f"t={t}")
+        assert step[0].argmax() == full[t].argmax()
+
+
+def test_stream_state_size_is_bounded(rng):
+    model = tiny_model(causal=True, layers_per_stage=3)
+    reach = (max(model.cfg.kernels) - 1) << (model.cfg.layers_per_stage - 1)
+    feats = rng.normal(size=(3 * reach, 4))
+    state = StreamState()
+    sizes = {}
+    for t in range(1, 3 * reach + 1):
+        forward_stream(model, feats[t - 1], state)
+        sizes[t] = state.nbytes
+    assert sizes[reach + 1] > 0
+    assert sizes[reach + 1] == sizes[3 * reach]
+
+
+def test_stream_state_counts_frames_and_resets(rng):
+    model = tiny_model(causal=True)
+    state = StreamState()
+    assert len(state) == 0 and state.nbytes == 0
+    for t in range(7):
+        forward_stream(model, rng.normal(size=4), state)
+        assert len(state) == t + 1
+    assert state.nbytes > 0
+    state.reset()
+    assert len(state) == 0 and state.nbytes == 0
+
+
 def test_stream_first_frame_defined(rng):
     model = tiny_model(causal=True)
     out = forward_stream(model, rng.normal(size=(1, 4)), StreamState())
@@ -362,7 +400,7 @@ def test_predict_tie_breaks_toward_smaller_id(rng):
 # --- gradient check of the tiny model -------------------------------------------------
 
 def test_tiny_model_gradient_check(rng):
-    from msast.numerics import finite_diff_check
+    from tests.oracles import finite_diff_check
     from msast.training import TrainConfig, capture_smooth_prev, total_loss
 
     cfg = ModelConfig(input_dim=4, num_classes=3, kernels=(3, 5), layers_per_stage=2,

@@ -3,7 +3,9 @@ import pytest
 
 from msast import numerics as nx
 from msast.errors import ConfigError, ShapeError
-from msast.numerics import Parameter, Tensor, as_tensor, finite_diff_check, no_grad
+from msast.numerics import Parameter, Tensor, as_tensor, no_grad
+
+from tests.oracles import finite_diff_check
 
 
 def tensor_sum(t: Tensor) -> Tensor:
@@ -99,6 +101,26 @@ def test_conv_matches_direct_summation(rng, mode, dilation):
     for k in range(5):
         offset = (k - 4) * dilation if mode == "causal" else (k - 2) * dilation
         assert np.array_equal(w.grad[k], np.zeros((3, 4))) == (abs(offset) >= 13), k
+
+
+@pytest.mark.parametrize("mode", ["causal", "symmetric"])
+@pytest.mark.parametrize("dilation", [1, 4, 16])
+def test_conv_last_rows_match_full_output(rng, mode, dilation):
+    x = Parameter(rng.normal(size=(13, 3)), "x")
+    w = rng.normal(size=(5, 3, 4))
+    b = rng.normal(size=4)
+    full = _conv_oracle(x.data, w, b, dilation, mode)
+    for n in (1, 2, 7, 13):
+        x.grad = None
+        out = nx.dilated_conv1d(x, as_tensor(w), as_tensor(b), dilation, mode, rows=n)
+        np.testing.assert_allclose(out.data, full[13 - n:], atol=1e-12, err_msg=f"n={n}")
+        # only inputs some tap of the kept rows reads get a gradient
+        tensor_sum(out).backward()
+        offsets = [(k - 4) * dilation if mode == "causal" else (k - 2) * dilation for k in range(5)]
+        read = {t + s for t in range(13 - n, 13) for s in offsets if 0 <= t + s < 13}
+        assert {int(i) for i in np.flatnonzero(np.abs(x.grad).sum(axis=1))} <= read
+    with pytest.raises(ShapeError):
+        nx.dilated_conv1d(x, as_tensor(w), as_tensor(b), dilation, mode, rows=14)
 
 
 def test_conv_causal_never_sees_future(rng):

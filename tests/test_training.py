@@ -337,7 +337,7 @@ def test_checkpoint_shape_disagreement_rejected(tmp_path):
 # --- gradient check of total loss (invariant) ------------------------------------------------
 
 def test_total_loss_gradient_matches_finite_differences(rng):
-    from msast.numerics import finite_diff_check
+    from tests.oracles import finite_diff_check
 
     cfg = ModelConfig(input_dim=3, num_classes=3, kernels=(3,), layers_per_stage=2,
                       feature_maps=6, num_decoders=1, causal=True, dropout=0.0)
