@@ -9,7 +9,10 @@ scheme of Longformer (Beltagy et al. 2020) with FlashAttention-style query
 tiling (Dao et al. 2022). Each chunk of `_CHUNK` query rows attends with
 dense GEMMs to the key/value slab its window can reach, so memory and work
 are O(T * (chunk + width)), not O(T^2), and a sequence of at most `_CHUNK`
-frames is a single dense chunk.
+frames is a single dense chunk. For backward the kernel keeps two floats
+per query row, each row's softmax max and sum, and recomputes a chunk's
+probabilities from them (the FlashAttention backward), so the tape holds
+O(T) floats for attention beyond its inputs and output, not O(T * width).
 """
 
 import functools
@@ -109,16 +112,13 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec) 
         return Tensor(vd[o:], True, (v,), lambda g: _accumulate(v, np.pad(g, ((o, 0), (0, 0)))))
     left, right = _band_extent(T, spec.window_size, spec.causal)
     inv_sqrt = q.data.dtype.type(1.0 / math.sqrt(C))
-    qs = q.data * inv_sqrt
     kd = k.data
     bias = None
-    out_data = np.empty_like(qs)
-    tracking = _tracking(q, k, v)
-    chunks = []
-    for s in range(0, n, _CHUNK):
-        e = min(s + _CHUNK, n)
-        a, b = max(0, o + s - left), min(T, o + e + right)
-        probs = qs[s:e] @ kd[a:b].T
+
+    def scores(qs, s, e, a, b):
+        """qs[s:e] . kd[a:b]^T, -inf where a chunk row's window misses the slab."""
+        nonlocal bias
+        out = qs[s:e] @ kd[a:b].T
         if a - (o + e) + 1 < -left or b - 1 - (o + s) > right:
             if bias is None:
                 # Column j is key p - left + j for chunk row i (query p + i), so a
@@ -128,21 +128,40 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec) 
                 rel = np.arange(e - s + left + right)[None, :] - np.arange(e - s)[:, None]
                 bias = np.where((rel < 0) | (rel > left + right), NEG_INF, 0.0).astype(qs.dtype)
             c = a - (o + s) + left
-            probs += bias[:e - s, c:c + b - a]
-        probs -= probs.max(axis=1, keepdims=True)
+            out += bias[:e - s, c:c + b - a]
+        return out
+
+    qs = q.data * inv_sqrt
+    out_data = np.empty_like(qs)
+    tracking = _tracking(q, k, v)
+    chunks = []
+    for s in range(0, n, _CHUNK):
+        e = min(s + _CHUNK, n)
+        a, b = max(0, o + s - left), min(T, o + e + right)
+        probs = scores(qs, s, e, a, b)
+        row_max = probs.max(axis=1, keepdims=True)
+        probs -= row_max
         np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
+        row_sum = probs.sum(axis=1, keepdims=True)
+        probs /= row_sum
         np.matmul(probs, vd[a:b], out=out_data[s:e])
         if tracking:
-            chunks.append((s, e, a, b, probs))
+            chunks.append((s, e, a, b, row_max, row_sum))
     if not tracking:
         return Tensor(out_data)
+    bias = None  # rebuilt on demand in backward, so the tape keeps O(n) floats here
 
     def backward(g):
         # sum_j P_ij dP_ij = g_i . out_i, so the softmax backward needs no slab-wide reduction
         delta = np.einsum("ij,ij->i", g, out_data)[:, None]
+        qs = q.data * inv_sqrt
         dq, dk, dv = np.empty_like(qs), np.zeros_like(kd), np.zeros_like(vd)
-        for s, e, a, b, probs in chunks:
+        for s, e, a, b, row_max, row_sum in chunks:
+            # the forward's operations in its order, so probs are bit-identical
+            probs = scores(qs, s, e, a, b)
+            probs -= row_max
+            np.exp(probs, out=probs)
+            probs /= row_sum
             dv[a:b] += probs.T @ g[s:e]
             ds = g[s:e] @ vd[a:b].T
             ds -= delta[s:e]

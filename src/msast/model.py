@@ -220,12 +220,14 @@ def block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer:
                   alpha: float, cfg: ModelConfig, rng=None, training: bool = False,
                   cache: _BlockCache | None = None) -> Tensor:
     """Encoder block (enc_out None: Q, K, V from the conv branch) or decoder
-    block (Q and K read [branch | enc_out], V the branch only). A mismatched
-    enc_out raises ShapeError from concat_channels or matmul.
+    block (Q and K read [branch | enc_out], V the branch only). An enc_out
+    not shaped like x raises ShapeError, in layer 1 too, where Q and K are not formed.
 
     With a cache (causal streaming, no tape) x holds only the new rows: the
     convs read them after the cached inputs, attention reads the new keys
     and values after the cached ones, and the cache keeps the newest rows."""
+    if enc_out is not None and enc_out.data.shape != x.data.shape:
+        raise ShapeError(f"enc_out shape {enc_out.data.shape} does not match block input {x.data.shape}")
     dilation = 1 << (layer - 1)
     mode = "causal" if cfg.causal else "symmetric"
     rows = x.data.shape[0]
@@ -237,14 +239,18 @@ def block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer:
         if h_base is None:
             h_base = h
         n = h if cfg.causal else nx.temporal_norm(h, params.norm_gain, params.norm_bias)
-        qk_src = n if enc_out is None else nx.concat_channels(n, enc_out)
-        q = nx.matmul(qk_src, br.wq)
-        k = nx.matmul(qk_src, br.wk)
+        spec = WindowSpec.from_schedule(kernel, layer, cfg.causal)
         v = nx.matmul(n, br.wv)
         if cache is not None:
-            k = nx.as_tensor(cache.keys[j].push(k.data))
             v = nx.as_tensor(cache.values[j].push(v.data))
-        spec = WindowSpec.from_schedule(kernel, layer, cfg.causal)
+        if spec.window_size == 1:
+            q = k = v  # a width-1 window returns v and reads neither q nor k
+        else:
+            qk_src = n if enc_out is None else nx.concat_channels(n, enc_out)
+            q = nx.matmul(qk_src, br.wq)
+            k = nx.matmul(qk_src, br.wk)
+            if cache is not None:
+                k = nx.as_tensor(cache.keys[j].push(k.data))
         attn_outs.append(sliding_window_attention(q, k, v, spec))
     fused = multiscale_fuse(h_base, attn_outs, [br.mix for br in params.branches], alpha)
     proj = nx.add(nx.matmul(fused, params.out_w), params.out_b)

@@ -60,7 +60,15 @@ class Tensor:
         return float(self.data.item())
 
     def backward(self):
-        """Reverse-mode sweep from this scalar node."""
+        """Reverse-mode sweep from this scalar node; it consumes the graph.
+
+        Each non-leaf node is released as soon as its closure has run: its
+        grad, closure and parent links are dropped, so the activations and
+        adjoints it held are freed while the sweep goes on and backward needs
+        no memory beyond what the forward pass left. Leaves (Parameters
+        included) keep their grad. A second call on the same graph
+        propagates nothing; build a new graph to differentiate again.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.data.shape}")
         topo = []
@@ -79,9 +87,14 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = node._backward = None
+            node._parents = ()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"

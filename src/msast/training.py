@@ -75,26 +75,18 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     return Tensor(out_data, True, (logits,), backward)
 
 
-def smoothing_loss(logits: Tensor, tau: float, prev_log_probs: np.ndarray | None = None) -> Tensor:
+def smoothing_loss(logits: Tensor, tau: float) -> Tensor:
     """Mean over frames 2..T and classes of min(|dlp|, tau)^2, where dlp is the
     log-probability change from the previous frame (previous frame detached;
     log-probs floored at log 1e-8).
-
-    `prev_log_probs` pins the detached previous-frame term to an explicit
-    (T-1, C) array; gradient-check harnesses use it to freeze the stopped
-    path at the base point so central differences see the same function the
-    analytic gradient describes. Training leaves it None.
     """
-    T, C = logits.data.shape
+    T = logits.data.shape[0]
     if T < 2:
         warnings.warn("smoothing_loss needs T >= 2; returning 0", stacklevel=2)
         return Tensor(np.zeros((), dtype=logits.data.dtype))
     lsm = _log_softmax(logits.data)
     floored = np.maximum(lsm, LOG_PROB_FLOOR)
-    prev = floored[:-1] if prev_log_probs is None else np.asarray(prev_log_probs)
-    if prev.shape != (T - 1, C):
-        raise ShapeError(f"prev_log_probs shape {prev.shape}, expected {(T - 1, C)}")
-    delta = floored[1:] - prev
+    delta = floored[1:] - floored[:-1]
     clipped = np.minimum(np.abs(delta), tau)
     out_data = np.asarray((clipped ** 2).mean(), dtype=logits.data.dtype)
     if not _tracking(logits):
@@ -113,31 +105,16 @@ def smoothing_loss(logits: Tensor, tau: float, prev_log_probs: np.ndarray | None
     return Tensor(out_data, True, (logits,), backward)
 
 
-def total_loss(stages: StageOutputs, labels: np.ndarray, cfg: TrainConfig,
-               frozen_smooth_prev: list[np.ndarray] | None = None) -> Tensor:
-    """Sum over stages of cross-entropy + smooth_lambda * smoothing loss.
-
-    `frozen_smooth_prev` (one array per stage, from `capture_smooth_prev`)
-    pins each stage's detached previous-frame log-probs for gradient checks.
-    """
+def total_loss(stages: StageOutputs, labels: np.ndarray, cfg: TrainConfig) -> Tensor:
+    """Sum over stages of cross-entropy + smooth_lambda * smoothing loss."""
     total = None
-    for s, logits in enumerate(stages.logits):
+    for logits in stages.logits:
         term = cross_entropy_loss(logits, labels)
         if cfg.smooth_lambda != 0.0:
-            prev = None if frozen_smooth_prev is None else frozen_smooth_prev[s]
-            smooth = smoothing_loss(logits, cfg.smooth_tau, prev)
+            smooth = smoothing_loss(logits, cfg.smooth_tau)
             term = nx.add(term, nx.scale(smooth, cfg.smooth_lambda))
         total = term if total is None else nx.add(total, term)
     return total
-
-
-def capture_smooth_prev(stages: StageOutputs) -> list[np.ndarray]:
-    """Detached previous-frame log-probs per stage, for freezing in checks."""
-    out = []
-    for logits in stages.logits:
-        floored = np.maximum(_log_softmax(logits.data), LOG_PROB_FLOOR)
-        out.append(floored[:-1].copy())
-    return out
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Brute-force reference implementations for attention and metric tests,
-and the central-difference gradient check.
+the central-difference gradient check, and the loss it checks the model with.
 
 Deliberately naive: an explicit T x T mask and a literal masked softmax for
 attention, recursion + memo for edit distance, per-frame sets for IoU, plain
@@ -11,8 +11,10 @@ import math
 
 import numpy as np
 
+from msast import numerics as nx
 from msast.errors import ConfigError, NumericError, ShapeError
 from msast.numerics import no_grad
+from msast.training import LOG_PROB_FLOOR, cross_entropy_loss, smoothing_loss
 
 
 def attention_mask(T: int, window: int, causal: bool) -> np.ndarray:
@@ -27,11 +29,10 @@ def attention_mask(T: int, window: int, causal: bool) -> np.ndarray:
     return np.abs(rel) <= half
 
 
-def dense_masked_attention_reference(q, k, v, mask) -> np.ndarray:
-    """Literal masked attention over an explicit boolean mask."""
+def _dense_weights(q, k, mask) -> np.ndarray:
+    """Literal masked softmax of q k^T / sqrt(C) over an explicit boolean mask."""
     q = np.asarray(q)
     k = np.asarray(k)
-    v = np.asarray(v)
     mask = np.asarray(mask, dtype=bool)
     T, C = q.shape
     if mask.shape != (T, T):
@@ -41,8 +42,24 @@ def dense_masked_attention_reference(q, k, v, mask) -> np.ndarray:
         raise ValueError(f"mask row {int(np.flatnonzero(empty)[0])} has no admissible positions")
     scores = np.where(mask, (q @ k.T) / math.sqrt(C), -np.inf).astype(q.dtype)
     weights = np.exp(scores - scores.max(axis=1, keepdims=True))
-    weights = weights / weights.sum(axis=1, keepdims=True)
-    return weights @ v
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def dense_masked_attention_reference(q, k, v, mask) -> np.ndarray:
+    """Literal masked attention over an explicit boolean mask."""
+    return _dense_weights(q, k, mask) @ np.asarray(v)
+
+
+def dense_masked_attention_backward(q, k, v, mask, g):
+    """(dq, dk, dv) of sum(g * reference(q, k, v, mask)), through the T x T
+    weights P: dV = P^T g, dS = P * (g V^T - rowsum(P * g V^T)),
+    dQ = dS K / sqrt(C), dK = dS^T Q / sqrt(C)."""
+    q, k, v, g = (np.asarray(a) for a in (q, k, v, g))
+    p = _dense_weights(q, k, mask)
+    dp = g @ v.T
+    ds = p * (dp - (p * dp).sum(axis=1, keepdims=True))
+    scale = 1.0 / math.sqrt(q.shape[1])
+    return ds @ k * scale, ds.T @ q * scale, p.T @ g
 
 
 def brute_edit_score(pred_labels, gt_labels) -> float:
@@ -169,3 +186,36 @@ def finite_diff_check(f, params, eps: float = 1e-4) -> float:
                 if rel > worst:
                     worst = rel
     return worst
+
+
+def _floored_log_softmax(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max(axis=1, keepdims=True)
+    return np.maximum(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)), LOG_PROB_FLOOR)
+
+
+def capture_smooth_prev(stages) -> list[np.ndarray]:
+    """Each stage's floored previous-frame log-probs, to pin in `frozen_total_loss`."""
+    return [_floored_log_softmax(logits.data)[:-1] for logits in stages.logits]
+
+
+def frozen_total_loss(stages, labels, cfg, frozen) -> nx.Tensor:
+    """`training.total_loss` with each stage's previous-frame term pinned to
+    `frozen` (from `capture_smooth_prev` at the base point).
+
+    The smoothing loss detaches the previous frame, so its analytic gradient
+    is that of a function whose previous-frame term is a constant. Central
+    differences see that function only if the term keeps its base-point
+    value: each smoothing term here takes its value with the term pinned,
+    and keeps the package's own backward, which is what the check tests.
+    """
+    total = None
+    for logits, prev in zip(stages.logits, frozen):
+        term = cross_entropy_loss(logits, labels)
+        if cfg.smooth_lambda != 0.0:
+            smooth = smoothing_loss(logits, cfg.smooth_tau)
+            delta = _floored_log_softmax(logits.data)[1:] - prev
+            smooth.data = np.asarray((np.minimum(np.abs(delta), cfg.smooth_tau) ** 2).mean(),
+                                     dtype=logits.data.dtype)
+            term = nx.add(term, nx.scale(smooth, cfg.smooth_lambda))
+        total = term if total is None else nx.add(total, term)
+    return total

@@ -16,11 +16,11 @@ from msast.metrics import aggregate, edit_score, evaluate_video, f1_at_overlap, 
     frame_metrics, segments_from_labels
 from msast.model import ModelConfig, build_model, forward_full, predict
 from msast.numerics import as_tensor
-from msast.training import AdamState, TrainConfig, capture_smooth_prev, load_checkpoint, \
-    total_loss, train
+from msast.training import AdamState, TrainConfig, load_checkpoint, total_loss, train
 
 from tests.oracles import attention_mask, brute_edit_score, brute_f1, brute_frame_metrics, \
-    dense_masked_attention_reference, finite_diff_check, random_label_pair
+    capture_smooth_prev, dense_masked_attention_reference, finite_diff_check, frozen_total_loss, \
+    random_label_pair
 from tests.single_scale_reference import single_scale_forward
 
 
@@ -67,7 +67,7 @@ def test_criterion_3_full_tiny_model_gradient():
         frozen = capture_smooth_prev(forward_full(model, feats, mode="train"))
 
         def f():
-            return total_loss(forward_full(model, feats, mode="train"), labels, tc, frozen)
+            return frozen_total_loss(forward_full(model, feats, mode="train"), labels, tc, frozen)
 
         # eps 1e-5: the O(eps^2) truncation of the central difference itself
         # overshoots the 1e-4 bar at the harness default eps on a stack this deep

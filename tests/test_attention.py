@@ -6,7 +6,8 @@ from msast.errors import ConfigError, ShapeError
 from msast import numerics as nx
 from msast.numerics import as_tensor
 
-from tests.oracles import attention_mask, dense_masked_attention_reference
+from tests.oracles import attention_mask, dense_masked_attention_backward, \
+    dense_masked_attention_reference
 
 
 # --- window schedule ----------------------------------------------------------
@@ -200,6 +201,25 @@ def test_chunk_boundaries_match_reference(rng):
                                                WindowSpec(window_size=w, causal=causal)).data
                 np.testing.assert_allclose(got, ref, atol=1e-9, err_msg=f"T={T} w={w} causal={causal}")
 
+
+def test_chunk_gradients_match_dense_backward(rng):
+    # backward recomputes each chunk's probabilities from its row max and sum,
+    # on the same clipped, biased slabs the forward used
+    from msast.numerics import Parameter
+    from tests.test_numerics import tensor_sum
+
+    for T in (8, 20, 63, 64, 65, 200):
+        for w in (2, 5, 16, 64, 129, 513):
+            for causal in (True, False):
+                q, k, v = (Parameter(rng.normal(size=(T, 6)), name) for name in "qkv")
+                g = rng.normal(size=(T, 6))
+                out = sliding_window_attention(q, k, v, WindowSpec(window_size=w, causal=causal))
+                tensor_sum(nx.mul(out, as_tensor(g))).backward()
+                ref = dense_masked_attention_backward(q.data, k.data, v.data,
+                                                      attention_mask(T, w, causal), g)
+                for p, want in zip((q, k, v), ref):
+                    np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-9,
+                                               err_msg=f"d{p.name} T={T} w={w} causal={causal}")
 
 def test_output_rows_are_convex_combinations(rng):
     for _ in range(20):

@@ -1,0 +1,74 @@
+"""Memory bounds of a train step, measured with tracemalloc (numpy reports its
+array buffers to it).
+
+Backward consumes the tape as it runs, so it needs no memory beyond what the
+forward pass left and keeps almost nothing once done; attention keeps O(T)
+floats for backward, not its O(T x window) probabilities.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from msast.attention import WindowSpec, sliding_window_attention
+from msast.model import ModelConfig, build_model, forward_full
+from msast.numerics import Parameter
+from msast.training import TrainConfig, total_loss
+
+TINY = ModelConfig(input_dim=8, num_classes=4, kernels=(3, 5), layers_per_stage=4,
+                   feature_maps=16, num_decoders=2)
+
+
+def train_graph(T=1000):
+    model = build_model(TINY, seed=0)
+    rng = np.random.default_rng(0)
+    feats = rng.normal(size=(T, TINY.input_dim)).astype(np.float32)
+    labels = rng.integers(0, TINY.num_classes, size=T)
+    stages = forward_full(model, feats, mode="train", rng=np.random.default_rng(1))
+    return stages, total_loss(stages, labels, TrainConfig())
+
+
+@pytest.fixture
+def traced():
+    tracemalloc.start()
+    yield
+    tracemalloc.stop()
+
+
+def test_backward_needs_no_memory_beyond_the_forward_tape(traced):
+    stages, loss = train_graph()
+    forward = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    loss.backward()
+    left, peak = tracemalloc.get_traced_memory()
+    assert peak <= 1.05 * forward, f"backward peak {peak / forward:.3f}x the forward tape"
+    # what remains: the stage logits the caller still holds, and parameter grads
+    assert left <= 0.05 * forward, f"{left / 1e6:.2f} MB still traced after backward"
+
+
+def test_backward_releases_every_non_leaf_node():
+    stages, loss = train_graph(T=50)
+    nodes, stack = {}, list(stages.logits)
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    inner = [n for n in nodes.values() if n._backward is not None]
+    assert len(inner) > 100
+    loss.backward()
+    assert all(n._backward is None and n.grad is None and n._parents == () for n in inner)
+    assert all(p.grad is not None for p in nodes.values() if isinstance(p, Parameter)
+               and p.name.endswith(".conv_w"))
+
+
+def test_attention_keeps_per_row_statistics_not_probabilities(traced):
+    T, C, w = 2000, 8, 513
+    rng = np.random.default_rng(3)
+    q, k, v = (Parameter(rng.normal(size=(T, C)), name) for name in "qkv")
+    before = tracemalloc.get_traced_memory()[0]
+    out = sliding_window_attention(q, k, v, WindowSpec(window_size=w, causal=False))
+    kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    # the probabilities alone would be about T * (64 + w) floats
+    assert kept <= q.data.nbytes, f"attention keeps {kept} bytes beyond its inputs and output"

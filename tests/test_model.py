@@ -400,8 +400,8 @@ def test_predict_tie_breaks_toward_smaller_id(rng):
 # --- gradient check of the tiny model -------------------------------------------------
 
 def test_tiny_model_gradient_check(rng):
-    from tests.oracles import finite_diff_check
-    from msast.training import TrainConfig, capture_smooth_prev, total_loss
+    from tests.oracles import capture_smooth_prev, finite_diff_check, frozen_total_loss
+    from msast.training import TrainConfig
 
     cfg = ModelConfig(input_dim=4, num_classes=3, kernels=(3, 5), layers_per_stage=2,
                       feature_maps=8, num_decoders=1, causal=False, dropout=0.0)
@@ -412,7 +412,7 @@ def test_tiny_model_gradient_check(rng):
     frozen = capture_smooth_prev(forward_full(model, feats, mode="train"))
 
     def f():
-        return total_loss(forward_full(model, feats, mode="train"), labels, tc, frozen)
+        return frozen_total_loss(forward_full(model, feats, mode="train"), labels, tc, frozen)
 
     # eps 1e-5: at 1e-4 the central-difference truncation error itself
     # exceeds the 1e-4 bar on a stack this deep

@@ -11,7 +11,6 @@ from msast.training import (
     AdamState,
     TrainConfig,
     adam_step,
-    capture_smooth_prev,
     cross_entropy_loss,
     load_checkpoint,
     save_checkpoint,
@@ -337,7 +336,7 @@ def test_checkpoint_shape_disagreement_rejected(tmp_path):
 # --- gradient check of total loss (invariant) ------------------------------------------------
 
 def test_total_loss_gradient_matches_finite_differences(rng):
-    from tests.oracles import finite_diff_check
+    from tests.oracles import capture_smooth_prev, finite_diff_check, frozen_total_loss
 
     cfg = ModelConfig(input_dim=3, num_classes=3, kernels=(3,), layers_per_stage=2,
                       feature_maps=6, num_decoders=1, causal=True, dropout=0.0)
@@ -348,6 +347,6 @@ def test_total_loss_gradient_matches_finite_differences(rng):
     frozen = capture_smooth_prev(forward_full(model, feats, mode="train"))
 
     def f():
-        return total_loss(forward_full(model, feats, mode="train"), labels, tc, frozen)
+        return frozen_total_loss(forward_full(model, feats, mode="train"), labels, tc, frozen)
 
     assert finite_diff_check(f, model.parameters(), eps=1e-5) <= 1e-4
