@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numerics import Tensor, _accumulate, _tracking
+from .numerics import Tensor, _accumulate, _tracked, _tracking
 
 NEG_INF = float("-inf")
 _CHUNK = 64  # query rows per chunk
@@ -105,11 +105,11 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec) 
                          f"got q {q.data.shape}, k {k.data.shape}")
     (n, C), T = q.data.shape, k.data.shape[0]
     o = T - n  # position of query row 0
-    vd = v.data
+    vd, vn = v.data, v._node
     if spec.window_size == 1:
         if not _tracking(v):
             return Tensor(vd[o:])
-        return Tensor(vd[o:], True, (v,), lambda g: _accumulate(v, np.pad(g, ((o, 0), (0, 0)))))
+        return _tracked(vd[o:], lambda g: _accumulate(vn, np.pad(g, ((o, 0), (0, 0)))), vn)
     left, right = _band_extent(T, spec.window_size, spec.causal)
     inv_sqrt = q.data.dtype.type(1.0 / math.sqrt(C))
     kd = k.data
@@ -150,11 +150,12 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec) 
     if not tracking:
         return Tensor(out_data)
     bias = None  # rebuilt on demand in backward, so the tape keeps O(n) floats here
+    qd, qn, kn = q.data, q._node, k._node
 
     def backward(g):
         # sum_j P_ij dP_ij = g_i . out_i, so the softmax backward needs no slab-wide reduction
         delta = np.einsum("ij,ij->i", g, out_data)[:, None]
-        qs = q.data * inv_sqrt
+        qs = qd * inv_sqrt
         dq, dk, dv = np.empty_like(qs), np.zeros_like(kd), np.zeros_like(vd)
         for s, e, a, b, row_max, row_sum in chunks:
             # the forward's operations in its order, so probs are bit-identical
@@ -169,8 +170,8 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec) 
             np.matmul(ds, kd[a:b], out=dq[s:e])
             dk[a:b] += ds.T @ qs[s:e]
         dq *= inv_sqrt
-        _accumulate(q, dq)
-        _accumulate(k, dk)
-        _accumulate(v, dv)
+        _accumulate(qn, dq)
+        _accumulate(kn, dk)
+        _accumulate(vn, dv)
 
-    return Tensor(out_data, True, (q, k, v), backward)
+    return _tracked(out_data, backward, qn, kn, vn)

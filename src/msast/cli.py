@@ -215,14 +215,22 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _read_video(path, model) -> np.ndarray:
+    """One video's features, checked against the model before any output is written."""
+    features = dio.read_feature_file(path)
+    if features.shape[1] != model.cfg.input_dim:
+        raise ShapeError(f"feature dim mismatch: checkpoint expects {model.cfg.input_dim}, "
+                         f"found {features.shape[1]}")
+    if features.shape[0] == 0:
+        raise ShapeError(f"{path}: feature file holds no frames")
+    return features
+
+
 def cmd_predict(args) -> int:
     model, _ = _load_model_checked(args.ckpt)
     _require_file(args.features, "feature file")
     _echo("predict config", {"ckpt": args.ckpt, "features": args.features, "out": args.out})
-    features = dio.read_feature_file(args.features)
-    if features.shape[1] != model.cfg.input_dim:
-        raise ShapeError(f"feature dim mismatch: checkpoint expects {model.cfg.input_dim}, "
-                         f"found {features.shape[1]}")
+    features = _read_video(args.features, model)
     labels = predict(model, features)
     with open(args.out, "w", encoding="utf-8") as fh:
         for value in labels:
@@ -237,10 +245,7 @@ def cmd_stream(args) -> int:
         raise ModeError("streaming requires a causal model")
     _require_file(args.features, "feature file")
     _echo("stream config", {"ckpt": args.ckpt, "features": args.features, "out": args.out})
-    features = dio.read_feature_file(args.features)
-    if features.shape[1] != model.cfg.input_dim:
-        raise ShapeError(f"feature dim mismatch: checkpoint expects {model.cfg.input_dim}, "
-                         f"found {features.shape[1]}")
+    features = _read_video(args.features, model)
     state = StreamState()
     seconds = []
     with open(args.out, "w", encoding="utf-8") as fh:

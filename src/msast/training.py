@@ -19,7 +19,7 @@ from . import numerics as nx
 from .data import check_class_ids
 from .errors import ConfigError, DataError, FileFormatError, NumericError, ShapeError
 from .model import Model, ModelConfig, StageOutputs, assemble_model, forward_full
-from .numerics import Parameter, Tensor, _accumulate, _tracking
+from .numerics import Parameter, Tensor, _accumulate, _tracked, _tracking
 
 LOG_PROB_FLOOR = float(np.log(1e-8))
 
@@ -64,15 +64,15 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     out_data = np.asarray(-lsm[np.arange(T), labels].mean(), dtype=logits.data.dtype)
     if not _tracking(logits):
         return Tensor(out_data)
-    probs = np.exp(lsm)
+    probs, node = np.exp(lsm), logits._node
 
     def backward(g):
         dz = probs.copy()
         dz[np.arange(T), labels] -= 1.0
         dz *= g / T
-        _accumulate(logits, dz)
+        _accumulate(node, dz)
 
-    return Tensor(out_data, True, (logits,), backward)
+    return _tracked(out_data, backward, node)
 
 
 def smoothing_loss(logits: Tensor, tau: float) -> Tensor:
@@ -91,7 +91,7 @@ def smoothing_loss(logits: Tensor, tau: float) -> Tensor:
     out_data = np.asarray((clipped ** 2).mean(), dtype=logits.data.dtype)
     if not _tracking(logits):
         return Tensor(out_data)
-    probs = np.exp(lsm)
+    probs, node = np.exp(lsm), logits._node
 
     def backward(g):
         ddelta = np.where(np.abs(delta) < tau, 2.0 * delta, 0.0)
@@ -100,9 +100,9 @@ def smoothing_loss(logits: Tensor, tau: float) -> Tensor:
         dfloored[1:] = ddelta  # previous-frame term is constant
         dlsm = dfloored * (lsm > LOG_PROB_FLOOR)
         dz = dlsm - probs * dlsm.sum(axis=1, keepdims=True)
-        _accumulate(logits, dz)
+        _accumulate(node, dz)
 
-    return Tensor(out_data, True, (logits,), backward)
+    return _tracked(out_data, backward, node)
 
 
 def total_loss(stages: StageOutputs, labels: np.ndarray, cfg: TrainConfig) -> Tensor:

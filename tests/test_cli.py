@@ -238,6 +238,17 @@ def test_stream_requires_causal_exit_6(tmp_path, dataset, trained):
                "--out", tmp_path / "s.txt") == 6
 
 
+@pytest.mark.parametrize("command", ["predict", "stream"])
+def test_zero_frame_features_exit_5_before_output(tmp_path, causal_trained, command, capsys):
+    empty = tmp_path / "empty.msfeat"
+    write_feature_file(empty, np.zeros((0, 5), dtype=np.float32))
+    assert read_feature_file(empty).shape == (0, 5)
+    out = tmp_path / "o.txt"
+    assert run(command, "--ckpt", causal_trained, "--features", empty, "--out", out) == 5
+    assert "no frames" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stream_matches_predict(tmp_path, dataset, causal_trained, capsys):
     for feature_file in sorted((dataset / "features").iterdir())[:3]:
         pred_file = tmp_path / f"{feature_file.stem}.predict.txt"

@@ -347,3 +347,4 @@ def test_no_grad_blocks_tape(rng):
     with no_grad():
         out = nx.matmul(p, p)
     assert out._backward is None and not out.requires_grad
+    assert out._node is None  # the untracked path makes no tape node
