@@ -59,8 +59,8 @@ def _parse_value(key: str, raw: str):
 def read_run_config(path) -> dict:
     """Flat key=value file; unknown keys are rejected."""
     values = {}
-    for lineno, line in enumerate(dio.read_text_lines(path, ConfigError), start=1):
-        if not line or line.startswith("#"):
+    for lineno, line in dio.read_text_lines(path, ConfigError):
+        if line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno} is not key=value: {line!r}")
@@ -183,6 +183,9 @@ def cmd_eval(args) -> int:
     if manifest.num_classes != model.cfg.num_classes:
         raise ShapeError(f"class count mismatch: checkpoint expects {model.cfg.num_classes}, "
                          f"dataset has {manifest.num_classes}")
+    if args.ribbon and manifest.num_classes > len(mx.RIBBON_PALETTE):
+        raise ConfigError(f"--ribbon colors at most {len(mx.RIBBON_PALETTE)} classes, "
+                          f"dataset has {manifest.num_classes}")
     _echo("eval config", {"ckpt": args.ckpt, "data": args.data, "split": args.split,
                           "report": args.report, "ribbon": args.ribbon, "oracle": args.oracle})
     video_ids = sorted(manifest.split_ids(args.split))

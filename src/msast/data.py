@@ -9,8 +9,12 @@ On-disk layout:
 
 Feature files: 8-byte ASCII magic, u32 LE frame count T, u32 LE dim D,
 then T*D float32 LE values frame-major. Round-trips are bit-exact.
+
+`_Reader` is the one parser of binary input (feature files here, checkpoints
+in `training`); its errors name the file, the field and the byte offset.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -54,6 +58,53 @@ class DatasetManifest:
         raise ConfigError(f"unknown split {split!r}, expected 'train' or 'test'")
 
 
+class _Reader:
+    """Bounds-checked cursor over an open binary file: each field is checked
+    against the bytes left before anything is allocated for it, and again
+    against the bytes actually read (the file may shrink meanwhile)."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
+        self.pos = 0
+
+    def error(self, message: str) -> FileFormatError:
+        return FileFormatError(f"{self.fh.name}: {message}")
+
+    def _check(self, n: int, have: int, field: str):
+        if n > have:
+            raise self.error(f"truncated: {field} needs {n} bytes at offset {self.pos}, {have} left")
+
+    def take(self, n: int, field: str) -> bytes:
+        self._check(n, self.size - self.pos, field)
+        chunk = self.fh.read(n)
+        self._check(n, len(chunk), field)
+        self.pos += n
+        return chunk
+
+    def unpack(self, fmt: str, field: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))
+
+    def magic(self, expected: bytes):
+        at = self.pos
+        found = self.take(len(expected), "magic")
+        if found != expected:
+            raise self.error(f"bad magic {found!r} at offset {at}, expected {expected!r}")
+
+    def floats(self, shape: tuple[int, ...], field: str) -> np.ndarray:
+        """The next prod(shape) float32 LE values, read straight into a new array."""
+        n = 4 * math.prod(shape)
+        self._check(n, self.size - self.pos, field)
+        values = np.empty(shape, dtype="<f4")
+        self._check(n, self.fh.readinto(values), field)
+        self.pos += n
+        return values
+
+    def end(self):
+        if self.pos != self.size:
+            raise self.error(f"{self.size - self.pos} trailing bytes at offset {self.pos}")
+
+
 def write_feature_file(path, features: np.ndarray):
     features = np.asarray(features, dtype=np.float32)
     if features.ndim != 2:
@@ -69,42 +120,32 @@ def write_feature_file(path, features: np.ndarray):
 
 def read_feature_file(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 8:
-        raise FileFormatError(f"{path}: file too short for magic, {len(data)} bytes at offset 0")
-    if data[:8] != FEATURE_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {data[:8]!r} at offset 0, expected {FEATURE_MAGIC!r}")
-    if len(data) < 16:
-        raise FileFormatError(f"{path}: truncated header at offset 8")
-    T, D = struct.unpack("<II", data[8:16])
-    count = T * D  # both u32, product fits in python int
-    expected = 16 + 4 * count
-    if len(data) < expected:
-        raise FileFormatError(
-            f"{path}: truncated payload at offset {len(data)}, expected {expected} bytes for {T}x{D}")
-    if len(data) > expected:
-        raise FileFormatError(f"{path}: {len(data) - expected} trailing bytes at offset {expected}")
-    features = np.frombuffer(data, dtype="<f4", offset=16).reshape(T, D).copy()
+        r = _Reader(fh)
+        r.magic(FEATURE_MAGIC)
+        T, D = r.unpack("<II", "header")
+        at = r.pos
+        features = r.floats((T, D), f"{T}x{D} feature values")
+        r.end()
     bad = np.flatnonzero(~np.isfinite(features))
     if bad.size:
-        raise DataError(f"{path}: non-finite feature value at offset {16 + 4 * int(bad[0])}")
+        raise DataError(f"{path}: non-finite feature value at offset {at + 4 * int(bad[0])}")
     return features
 
 
-def read_text_lines(path, error=DataError) -> list[str]:
-    """The stripped lines of a UTF-8 text file; bytes that do not decode raise `error`."""
+def read_text_lines(path, error=DataError) -> list[tuple[int, str]]:
+    """(line number, stripped line) for each non-blank line of a UTF-8 text
+    file; bytes that do not decode raise `error`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return [line.strip() for line in fh]
+            lines = [line.strip() for line in fh]
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line]
 
 
 def read_labels(path, T_expected: int) -> np.ndarray:
     labels = []
-    for lineno, line in enumerate(read_text_lines(path), start=1):
-        if not line:
-            continue
+    for lineno, line in read_text_lines(path):
         try:
             labels.append(int(line))
         except ValueError:
@@ -122,9 +163,7 @@ def write_labels(path, labels):
 
 def read_mapping(path) -> dict[int, str]:
     mapping = {}
-    for lineno, line in enumerate(read_text_lines(path), start=1):
-        if not line:
-            continue
+    for lineno, line in read_text_lines(path):
         parts = line.split(maxsplit=1)
         if len(parts) != 2:
             raise DataError(f"{path}: malformed mapping line {lineno}: {line!r}")
@@ -142,9 +181,7 @@ def read_mapping(path) -> dict[int, str]:
 
 def read_split(path) -> list[str]:
     ids = []
-    for lineno, vid in enumerate(read_text_lines(path), start=1):
-        if not vid:
-            continue
+    for lineno, vid in read_text_lines(path):
         if vid in ids:
             raise DataError(f"{path}: duplicate video id {vid!r} on line {lineno}")
         ids.append(vid)

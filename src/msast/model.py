@@ -404,9 +404,9 @@ def forward_stream(model: Model, next_feature_frame: np.ndarray, state: StreamSt
 
 def labels_from_logits(logits: np.ndarray) -> np.ndarray:
     """Per-row argmax of the softmax; ties go to the smaller class id. The one
-    label rule, shared by `predict` and streaming so their labels agree."""
-    with no_grad():
-        probs = nx.softmax_rows(Tensor(logits)).data
+    label rule, shared by `predict`, streaming and training accuracy so their
+    labels agree. `Tensor(logits)` is untracked, so no tape is built."""
+    probs = nx.softmax_rows(Tensor(logits)).data
     return probs.argmax(axis=1).astype(np.int64)
 
 

@@ -8,7 +8,6 @@ dropout, so a (seed, data, config) triple fixes every parameter byte.
 """
 
 import io
-import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -16,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nx
-from .data import check_class_ids
-from .errors import ConfigError, DataError, FileFormatError, NumericError, ShapeError
-from .model import Model, ModelConfig, StageOutputs, assemble_model, forward_full
+from .data import _Reader, check_class_ids
+from .errors import ConfigError, DataError, NumericError, ShapeError
+from .model import (Model, ModelConfig, StageOutputs, assemble_model, forward_full,
+                    labels_from_logits)
 from .numerics import Parameter, Tensor, _accumulate, _tracked, _tracking
 
 LOG_PROB_FLOOR = float(np.log(1e-8))
@@ -209,7 +209,7 @@ def train(model: Model, dataset, cfg: TrainConfig, adam_state: AdamState | None 
                 raise NumericError(f"non-finite loss at epoch {epoch}, video {sample.id}")
             loss.backward()
             adam_step(params, adam_state, cfg.learning_rate, cfg.adam_betas, cfg.adam_eps)
-            pred = stages.final().argmax(axis=1)
+            pred = labels_from_logits(stages.final())
             correct += int((pred == sample.labels).sum())
             frames += len(sample.labels)
             loss_sum += loss_value
@@ -224,75 +224,39 @@ def train(model: Model, dataset, cfg: TrainConfig, adam_state: AdamState | None 
 # --- checkpoint format ------------------------------------------------------
 #
 # magic "MSASTCK1" | u32 version=1
-# config: u32 kernel count, u32 per kernel, then u32 layers_per_stage,
-#   feature_maps, input_dim, num_classes, num_decoders, causal (0/1),
-#   dropout (float32 bit pattern), alpha_base (float32 bit pattern)
+# config: u32 kernel count, u32 per kernel, then _CONFIG_FORMAT: u32
+#   layers_per_stage, feature_maps, input_dim, num_classes, num_decoders,
+#   causal (0/1), float32 dropout, float32 alpha_base
 # u32 parameter count; per parameter, in Model.parameters() order:
 #   u16 name length, UTF-8 name, u8 rank, rank x u32 dims, float32 LE values
 # the same count+entry layout again for Adam m, then Adam v, then u64 step.
-# All integers little-endian; arrays row-major. The loader checks each entry's
-# name and dims against the header's config before it sizes or decodes it.
+# All integers little-endian; arrays row-major. Writer and loader share each
+# struct format. The loader reads through data._Reader and checks each
+# entry's name and dims against the header's config before it sizes it.
 
 CHECKPOINT_MAGIC = b"MSASTCK1"
 CHECKPOINT_VERSION = 1
-
-
-def _f32_bits(x: float) -> int:
-    return struct.unpack("<I", struct.pack("<f", x))[0]
-
-
-def _bits_f32(bits: int) -> float:
-    return float(struct.unpack("<f", struct.pack("<I", bits))[0])
+_CONFIG_FORMAT = "<6I2f"
 
 
 def _write_array(buf, name: str, arr: np.ndarray):
     encoded = name.encode("utf-8")
-    buf.write(struct.pack("<H", len(encoded)))
-    buf.write(encoded)
-    buf.write(struct.pack("<B", arr.ndim))
-    for dim in arr.shape:
-        buf.write(struct.pack("<I", dim))
+    buf.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape))
     buf.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FileFormatError(
-                f"truncated checkpoint: needed {n} bytes for {what} at offset {self.pos}")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self, what) -> int:
-        return struct.unpack("<B", self.take(1, what))[0]
-
-    def u16(self, what) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
 
 
 def _read_entry(r: _Reader, name: str, shape: tuple[int, ...]) -> np.ndarray:
     """The next array entry, which must be `name` with dims `shape`."""
     at = r.pos
-    raw_name = r.take(r.u16("name length"), "name")
+    (name_length,) = r.unpack("<H", "name length")
+    raw_name = r.take(name_length, "name")
     if raw_name != name.encode("utf-8"):
-        raise FileFormatError(f"entry at offset {at} is named {raw_name!r}, expected {name!r}")
-    rank = r.u8(f"rank of {name}")
-    dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"dims of {name}"))
+        raise r.error(f"entry at offset {at} is named {raw_name!r}, expected {name!r}")
+    (rank,) = r.unpack("<B", f"rank of {name}")
+    dims = r.unpack(f"<{rank}I", f"dims of {name}")
     if dims != shape:
-        raise FileFormatError(f"parameter {name!r} has shape {dims}, config implies {shape}")
-    raw = r.take(4 * math.prod(shape), f"values of {name}")
-    return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        raise r.error(f"parameter {name!r} at offset {at} has shape {dims}, config implies {shape}")
+    return r.floats(shape, f"values of {name}")
 
 
 def save_checkpoint(model: Model, adam_state: AdamState, path):
@@ -302,12 +266,10 @@ def save_checkpoint(model: Model, adam_state: AdamState, path):
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
     buf.write(struct.pack("<I", len(cfg.kernels)))
-    for k in cfg.kernels:
-        buf.write(struct.pack("<I", k))
-    for value in (cfg.layers_per_stage, cfg.feature_maps, cfg.input_dim,
-                  cfg.num_classes, cfg.num_decoders, int(cfg.causal),
-                  _f32_bits(cfg.dropout), _f32_bits(cfg.alpha_base)):
-        buf.write(struct.pack("<I", value))
+    buf.write(struct.pack(f"<{len(cfg.kernels)}I", *cfg.kernels))
+    buf.write(struct.pack(_CONFIG_FORMAT, cfg.layers_per_stage, cfg.feature_maps, cfg.input_dim,
+                          cfg.num_classes, cfg.num_decoders, int(cfg.causal),
+                          cfg.dropout, cfg.alpha_base))
     params = model.parameters()
     buf.write(struct.pack("<I", len(params)))
     for p in params:
@@ -323,47 +285,42 @@ def save_checkpoint(model: Model, adam_state: AdamState, path):
 
 def load_checkpoint(path) -> tuple[Model, AdamState]:
     with open(path, "rb") as fh:
-        data = fh.read()
-    r = _Reader(data)
-    magic = r.take(len(CHECKPOINT_MAGIC), "magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise FileFormatError(f"bad checkpoint magic {magic!r} at offset 0, expected {CHECKPOINT_MAGIC!r}")
-    version = r.u32("version")
-    if version != CHECKPOINT_VERSION:
-        raise FileFormatError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    n_kernels = r.u32("kernel count")
-    kernels = struct.unpack(f"<{n_kernels}I", r.take(4 * n_kernels, "kernel sizes"))
-    ints = [r.u32(f) for f in ("layers_per_stage", "feature_maps", "input_dim",
-                               "num_classes", "num_decoders", "causal flag")]
-    dropout = _bits_f32(r.u32("dropout"))
-    alpha_base = _bits_f32(r.u32("alpha_base"))
-    cfg = ModelConfig(
-        input_dim=ints[2], num_classes=ints[3], kernels=kernels,
-        layers_per_stage=ints[0], feature_maps=ints[1], num_decoders=ints[4],
-        causal=bool(ints[5]), dropout=dropout, alpha_base=alpha_base,
-    )
-    problems = cfg.violations()
-    if ints[5] > 1:
-        problems.append(f"causal flag must be 0 or 1, got {ints[5]}")
-    if problems:
-        raise FileFormatError("checkpoint header holds an invalid model config: " + "; ".join(problems))
-    n_params = r.u32("parameter count")
+        r = _Reader(fh)
+        r.magic(CHECKPOINT_MAGIC)
+        at = r.pos
+        (version,) = r.unpack("<I", "version")
+        if version != CHECKPOINT_VERSION:
+            raise r.error(f"unsupported checkpoint version {version} at offset {at}, "
+                          f"expected {CHECKPOINT_VERSION}")
+        (n_kernels,) = r.unpack("<I", "kernel count")
+        kernels = r.unpack(f"<{n_kernels}I", "kernel sizes")
+        *ints, dropout, alpha_base = r.unpack(_CONFIG_FORMAT, "model config")
+        cfg = ModelConfig(
+            input_dim=ints[2], num_classes=ints[3], kernels=kernels,
+            layers_per_stage=ints[0], feature_maps=ints[1], num_decoders=ints[4],
+            causal=bool(ints[5]), dropout=dropout, alpha_base=alpha_base,
+        )
+        problems = cfg.violations()
+        if ints[5] > 1:
+            problems.append(f"causal flag must be 0 or 1, got {ints[5]}")
+        if problems:
+            raise r.error("checkpoint header holds an invalid model config: " + "; ".join(problems))
+        (n_params,) = r.unpack("<I", "parameter count")
 
-    def param(name, shape, fan_in=None, fill=0.0):
-        return Parameter(_read_entry(r, name, shape), name)
+        def param(name, shape, fan_in=None, fill=0.0):
+            return Parameter(_read_entry(r, name, shape), name)
 
-    model = assemble_model(cfg, param)
-    params = model.parameters()
-    if n_params != len(params):
-        raise FileFormatError(f"checkpoint has {n_params} parameters, config implies {len(params)}")
-    state = AdamState(m={}, v={})
-    for section in (state.m, state.v):
-        count = r.u32("moment count")
-        if count != n_params:
-            raise FileFormatError(f"moment section has {count} entries, expected {n_params}")
-        for p in params:
-            section[p.name] = _read_entry(r, p.name, p.data.shape)
-    state.step = r.u64("step counter")
-    if r.pos != len(data):
-        raise FileFormatError(f"{len(data) - r.pos} trailing bytes after checkpoint payload at offset {r.pos}")
-    return model, state
+        model = assemble_model(cfg, param)
+        params = model.parameters()
+        if n_params != len(params):
+            raise r.error(f"checkpoint has {n_params} parameters, config implies {len(params)}")
+        state = AdamState(m={}, v={})
+        for section in (state.m, state.v):
+            (count,) = r.unpack("<I", "moment count")
+            if count != n_params:
+                raise r.error(f"moment section has {count} entries, expected {n_params}")
+            for p in params:
+                section[p.name] = _read_entry(r, p.name, p.data.shape)
+        (state.step,) = r.unpack("<Q", "step counter")
+        r.end()
+        return model, state

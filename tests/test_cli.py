@@ -145,9 +145,10 @@ def causal_trained(tmp_path, config):
 
 def _report_dict(path):
     out = {}
-    for line in open(path):
-        key, value = line.rstrip("\n").split("\t")
-        out[key] = float(value)
+    with open(path) as fh:
+        for line in fh:
+            key, value = line.rstrip("\n").split("\t")
+            out[key] = float(value)
     return out
 
 
@@ -179,6 +180,22 @@ def test_eval_ribbons_written(tmp_path, dataset, trained):
     assert files and all(f.endswith(".ppm") for f in files)
     first = (ribbon_dir / files[0]).read_bytes()
     assert first.startswith(b"P6\n")
+
+
+def test_eval_ribbon_over_palette_exit_2_before_output(tmp_path):
+    # 20 classes, as in 50Salads' 19 plus one: more than the 16 palette colors
+    data = tmp_path / "data20"
+    assert run("synth", "--out", data, "--videos", 3, "--classes", 20, "--dim", 4,
+               "--tmin", 40, "--tmax", 50, "--seed", 1) == 0
+    ckpt = tmp_path / "c20.ckpt"
+    model = build_model(ModelConfig(input_dim=4, num_classes=20, kernels=(3,), layers_per_stage=1,
+                                    feature_maps=4, num_decoders=1), seed=0)
+    save_checkpoint(model, AdamState.init(model), ckpt)
+    ribbon_dir, report = tmp_path / "ribbons", tmp_path / "r.tsv"
+    assert run("eval", "--ckpt", ckpt, "--data", data, "--split", "train", "--oracle",
+               "--report", report, "--ribbon", ribbon_dir) == 2
+    assert not ribbon_dir.exists()
+    assert not report.exists()
 
 
 def test_eval_missing_split_exit_2(tmp_path, dataset, trained):
@@ -272,7 +289,7 @@ def test_predict_consistent_with_eval(tmp_path, dataset, trained):
     report = tmp_path / "report.tsv"
     assert run("eval", "--ckpt", trained, "--data", dataset, "--report", report) == 0
     values = _report_dict(report)
-    vid = open(dataset / "splits" / "test.txt").read().split()[0]
+    vid = (dataset / "splits" / "test.txt").read_text().split()[0]
     pred_file = tmp_path / "p.txt"
     assert run("predict", "--ckpt", trained,
                "--features", dataset / "features" / f"{vid}.msfeat",

@@ -1,10 +1,13 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from msast.data import (
+    FEATURE_MAGIC,
+    _Reader,
     SynthConfig,
     generate_synthetic,
     load_manifest,
@@ -14,6 +17,7 @@ from msast.data import (
     read_labels,
     read_mapping,
     read_split,
+    read_text_lines,
     validate_dataset,
     write_dataset,
     write_feature_file,
@@ -54,13 +58,41 @@ def test_feature_wrong_magic_rejected(tmp_path):
         read_feature_file(path)
 
 
-def test_feature_truncation_rejected(tmp_path):
+@pytest.mark.parametrize("case", ["shorter_than_magic", "magic_plus_4_bytes", "truncated_payload",
+                                  "header_claims_u32_max_squared"])
+def test_feature_truncation_rejected(tmp_path, case):
     path = tmp_path / "short.msfeat"
     write_feature_file(path, np.zeros((3, 2), dtype=np.float32))
     blob = path.read_bytes()
-    path.write_bytes(blob[:-5])
-    with pytest.raises(FileFormatError, match="truncated"):
-        read_feature_file(path)
+    path.write_bytes({
+        "shorter_than_magic": blob[:5],
+        "magic_plus_4_bytes": blob[:12],
+        "truncated_payload": blob[:-5],
+        "header_claims_u32_max_squared": blob[:8] + struct.pack("<II", 2**32 - 1, 2**32 - 1) + blob[16:],
+    }[case])
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError, match="truncated"):
+            read_feature_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # nothing sized from the header: the peak stays near the file's own size
+    assert peak < 10 * len(blob) + 100_000
+
+
+def test_feature_file_shrinking_mid_read_rejected(tmp_path):
+    # the header fits the size seen at open; the payload read then comes back
+    # short (the payload is larger than any read buffer)
+    path = tmp_path / "shrinks.msfeat"
+    write_feature_file(path, np.zeros((1 << 18, 2), dtype=np.float32))
+    with open(path, "rb") as fh:
+        r = _Reader(fh)
+        r.magic(FEATURE_MAGIC)
+        T, D = r.unpack("<II", "header")
+        os.truncate(path, 100)
+        with pytest.raises(FileFormatError, match="truncated: values needs 2097152 bytes at offset 16"):
+            r.floats((T, D), "values")
 
 
 def test_feature_trailing_bytes_rejected(tmp_path):
@@ -106,6 +138,14 @@ def test_read_labels_non_integer(tmp_path):
     path = tmp_path / "l.txt"
     path.write_text("0\nnope\n1\n")
     with pytest.raises(DataError, match="line 2"):
+        read_labels(path, 3)
+
+
+def test_text_lines_skip_blanks_and_keep_file_line_numbers(tmp_path):
+    path = tmp_path / "l.txt"
+    path.write_text("0\n\n  \n nope \n1\n")
+    assert read_text_lines(path) == [(1, "0"), (4, "nope"), (5, "1")]
+    with pytest.raises(DataError, match="non-integer label 'nope' on line 4"):
         read_labels(path, 3)
 
 
@@ -263,7 +303,8 @@ def test_validate_fresh_dataset_clean(small_tree):
 def test_validate_detects_truncated_labels(small_tree):
     victim = small_tree.train_ids[1]
     path = small_tree.label_path(victim)
-    lines = open(path).read().strip().split("\n")
+    with open(path) as fh:
+        lines = fh.read().strip().split("\n")
     with open(path, "w") as fh:
         fh.write("\n".join(lines[:-3]) + "\n")
     violations = validate_dataset(small_tree)
@@ -306,7 +347,8 @@ def test_out_of_range_label_rejected(small_tree, bad_label):
 def test_validate_lists_non_finite_features(small_tree):
     victim = small_tree.test_ids[0]
     path = small_tree.feature_path(victim)
-    blob = bytearray(open(path, "rb").read())
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
     blob[16:20] = np.array([np.nan], dtype="<f4").tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
