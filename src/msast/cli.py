@@ -235,9 +235,7 @@ def cmd_predict(args) -> int:
     _echo("predict config", {"ckpt": args.ckpt, "features": args.features, "out": args.out})
     features = _read_video(args.features, model)
     labels = predict(model, features)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for value in labels:
-            fh.write(f"{int(value)}\n")
+    dio.write_labels(args.out, labels)
     print(f"wrote {len(labels)} predictions to {args.out}")
     return 0
 

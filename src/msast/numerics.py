@@ -30,14 +30,36 @@ def no_grad():
 
 class _Node:
     """A tracked tensor's place on the tape: its accumulated adjoint, its
-    backward closure and its tracked inputs' nodes, but no forward value."""
+    backward closure and its tracked inputs' nodes, but no forward value.
 
-    __slots__ = ("grad", "_backward", "_parents")
+    A node may also hold a re-former: a zero-argument function that rebuilds
+    the node's forward value from arrays the tape keeps anyway, with the
+    forward's own operations in the forward's order, so the rebuilt value is
+    bit-identical. A consumer whose closure reads the value keeps the node
+    instead (`_saved`); backward rebuilds the value at most once, on first
+    read (`value`), and drops it when the node is released. Re-formers read
+    parameter arrays, so parameters must not be mutated between forward and
+    backward, the same assumption every closure that captures `w.data` makes.
+    """
+
+    __slots__ = ("grad", "_backward", "_parents", "_reform", "_value")
 
     def __init__(self, parents, backward):
         self.grad = None
         self._parents = parents
         self._backward = backward
+        self._reform = self._value = None
+
+    def value(self) -> np.ndarray:
+        """The forward value, rebuilt by the re-former on first read."""
+        if self._value is None:
+            self._value = self._reform()
+        return self._value
+
+    def release(self):
+        """Drop everything the node holds for backward; it stays a graph endpoint."""
+        self.grad = self._backward = self._reform = self._value = None
+        self._parents = ()
 
 
 class Tensor:
@@ -101,15 +123,16 @@ class Tensor:
         """Reverse-mode sweep from this scalar node; it consumes the graph.
 
         A node keeps its adjoint, its closure and its inputs' nodes; the
-        arrays its closure captured are the only activations held for
-        backward (one default offline train step peaks at 565 MB resident
-        at T=2000 and 1.56 GB at T=6000). Each non-leaf node is released as
-        soon as its closure has run: its grad, closure and parent links are
-        dropped, so those arrays are freed while the sweep goes on and
-        backward needs no memory beyond what the forward pass left. Leaves
-        (Parameters included) keep their grad. A second call on the same
-        graph propagates nothing, and neither does a call on an untracked
-        tensor; build a new graph to differentiate again.
+        arrays its closure and re-former captured are the only activations
+        held for backward (one default offline train step peaks at 422 MB
+        resident at T=2000 and 1.14 GB at T=6000). Each non-leaf node is
+        released as soon as its closure has run: its grad, closure, parent
+        links, re-former and rebuilt value are dropped, so those arrays are
+        freed while the sweep goes on and backward needs no memory beyond
+        what the forward pass left. Leaves (Parameters included) keep their
+        grad. A second call on the same graph propagates nothing, and
+        neither does a call on an untracked tensor; build a new graph to
+        differentiate again.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.data.shape}")
@@ -137,8 +160,7 @@ class Tensor:
                 continue
             if node.grad is not None:
                 node._backward(node.grad)
-            node.grad = node._backward = None
-            node._parents = ()
+            node.release()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -161,9 +183,23 @@ def _tracking(*tensors) -> bool:
     return _grad_enabled and any(t._node is not None for t in tensors)
 
 
-def _tracked(out_data, backward, *nodes) -> Tensor:
+def _tracked(out_data, backward, *nodes, reform=None) -> Tensor:
     """A tracked op output whose tape parents are the tracked input nodes."""
-    return Tensor(out_data, True, tuple(n for n in nodes if n is not None), backward)
+    out = Tensor(out_data, True, tuple(n for n in nodes if n is not None), backward)
+    out._node._reform = reform
+    return out
+
+
+def _saved(t: Tensor):
+    """What a closure keeps to read t's value: t's node if it can re-form
+    the value, else the array itself."""
+    node = t._node
+    return node if node is not None and node._reform is not None else t.data
+
+
+def _value(saved) -> np.ndarray:
+    """The array a `_saved` entry stands for."""
+    return saved.value() if isinstance(saved, _Node) else saved
 
 
 def _accumulate(node: _Node | None, g: np.ndarray):
@@ -200,11 +236,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
     if not _tracking(a, b):
         return Tensor(out_data)
-    ad, bd, an, bn = a.data, b.data, a._node, b._node
+    a_saved, b_saved, an, bn = _saved(a), _saved(b), a._node, b._node
 
     def backward(g):
-        _accumulate(an, g @ bd.T)
-        _accumulate(bn, ad.T @ g)
+        _accumulate(an, g @ _value(b_saved).T)
+        _accumulate(bn, _value(a_saved).T @ g)
 
     return _tracked(out_data, backward, an, bn)
 
@@ -277,7 +313,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
     """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
 
     Inference (or rate 0) is the exact identity: the input tensor is
-    returned unchanged with mask None.
+    returned unchanged with mask None. The tape keeps the boolean keep-mask
+    and backward rebuilds the scaled mask from it.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
@@ -286,14 +323,15 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
     if rng is None:
         raise ConfigError("dropout in training mode needs an RNG")
     keep = rng.random(x.data.shape) >= rate
-    mask = keep.astype(x.data.dtype) / x.data.dtype.type(1.0 - rate)
+    dtype = x.data.dtype
+    mask = keep.astype(dtype) / dtype.type(1.0 - rate)
     out_data = x.data * mask
     if not _tracking(x):
         return Tensor(out_data), mask
     xn = x._node
 
     def backward(g):
-        _accumulate(xn, g * mask)
+        _accumulate(xn, g * (keep.astype(dtype) / dtype.type(1.0 - rate)))
 
     return _tracked(out_data, backward, xn), mask
 
@@ -318,7 +356,8 @@ def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
     """Normalize each channel with mean/variance taken over the full time axis.
 
     Only valid on acausal paths: the statistics read the whole sequence.
-    Population variance; eps fixed at 1e-5.
+    Population variance; eps fixed at 1e-5. The output's re-former rebuilds
+    it from `xhat`, which backward keeps anyway.
     """
     T, C = x.data.shape
     if T < 2:
@@ -330,7 +369,7 @@ def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
     out_data = xhat * gain.data + bias.data
     if not _tracking(x, gain, bias):
         return Tensor(out_data)
-    gd, xn, gn, bn = gain.data, x._node, gain._node, bias._node
+    gd, bd, xn, gn, bn = gain.data, bias.data, x._node, gain._node, bias._node
 
     def backward(g):
         _accumulate(gn, (g * xhat).sum(axis=0))
@@ -339,7 +378,7 @@ def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
         term = dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)
         _accumulate(xn, inv * term)
 
-    return _tracked(out_data, backward, xn, gn, bn)
+    return _tracked(out_data, backward, xn, gn, bn, reform=lambda: xhat * gd + bd)
 
 
 def _tap_offsets(kernel: int, dilation: int, mode: str) -> list[int]:
@@ -404,16 +443,21 @@ def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, mode: str,
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """[a | b] along the channel axis."""
+    """[a | b] along the channel axis. The output's re-former concatenates
+    the inputs' values again, each through its own re-former if it has one."""
     if a.data.shape[0] != b.data.shape[0]:
         raise ShapeError(f"concat row mismatch: {a.data.shape} vs {b.data.shape}")
     out_data = np.concatenate([a.data, b.data], axis=1)
     if not _tracking(a, b):
         return Tensor(out_data)
     ca, an, bn = a.data.shape[1], a._node, b._node
+    a_saved, b_saved = _saved(a), _saved(b)
 
     def backward(g):
         _accumulate(an, g[:, :ca].copy())
         _accumulate(bn, g[:, ca:].copy())
 
-    return _tracked(out_data, backward, an, bn)
+    def reform():
+        return np.concatenate([_value(a_saved), _value(b_saved)], axis=1)
+
+    return _tracked(out_data, backward, an, bn, reform=reform)

@@ -7,7 +7,6 @@ size 1 video, shuffled per epoch by one seeded generator that also drives
 dropout, so a (seed, data, config) triple fixes every parameter byte.
 """
 
-import io
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -231,18 +230,19 @@ def train(model: Model, dataset, cfg: TrainConfig, adam_state: AdamState | None 
 #   u16 name length, UTF-8 name, u8 rank, rank x u32 dims, float32 LE values
 # the same count+entry layout again for Adam m, then Adam v, then u64 step.
 # All integers little-endian; arrays row-major. Writer and loader share each
-# struct format. The loader reads through data._Reader and checks each
-# entry's name and dims against the header's config before it sizes it.
+# struct format. The writer streams each field and entry to the file as it
+# packs it. The loader reads through data._Reader and checks each entry's
+# name and dims against the header's config before it sizes it.
 
 CHECKPOINT_MAGIC = b"MSASTCK1"
 CHECKPOINT_VERSION = 1
 _CONFIG_FORMAT = "<6I2f"
 
 
-def _write_array(buf, name: str, arr: np.ndarray):
+def _write_array(fh, name: str, arr: np.ndarray):
     encoded = name.encode("utf-8")
-    buf.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape))
-    buf.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    fh.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape))
+    fh.write(np.asarray(arr, dtype="<f4", order="C").data)  # no copy of a float32 LE array
 
 
 def _read_entry(r: _Reader, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -260,27 +260,28 @@ def _read_entry(r: _Reader, name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def save_checkpoint(model: Model, adam_state: AdamState, path):
-    """Serialize model + optimizer so that save -> load -> save is byte-identical."""
+    """Serialize model + optimizer so that save -> load -> save is byte-identical.
+
+    Each field and entry goes to the file as it is packed, so saving holds
+    no copy of the file in memory."""
     cfg = model.cfg
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    buf.write(struct.pack("<I", len(cfg.kernels)))
-    buf.write(struct.pack(f"<{len(cfg.kernels)}I", *cfg.kernels))
-    buf.write(struct.pack(_CONFIG_FORMAT, cfg.layers_per_stage, cfg.feature_maps, cfg.input_dim,
-                          cfg.num_classes, cfg.num_decoders, int(cfg.causal),
-                          cfg.dropout, cfg.alpha_base))
     params = model.parameters()
-    buf.write(struct.pack("<I", len(params)))
-    for p in params:
-        _write_array(buf, p.name, p.data)
-    for section in (adam_state.m, adam_state.v):
-        buf.write(struct.pack("<I", len(params)))
-        for p in params:
-            _write_array(buf, p.name, section[p.name])
-    buf.write(struct.pack("<Q", adam_state.step))
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<I", len(cfg.kernels)))
+        fh.write(struct.pack(f"<{len(cfg.kernels)}I", *cfg.kernels))
+        fh.write(struct.pack(_CONFIG_FORMAT, cfg.layers_per_stage, cfg.feature_maps, cfg.input_dim,
+                             cfg.num_classes, cfg.num_decoders, int(cfg.causal),
+                             cfg.dropout, cfg.alpha_base))
+        fh.write(struct.pack("<I", len(params)))
+        for p in params:
+            _write_array(fh, p.name, p.data)
+        for section in (adam_state.m, adam_state.v):
+            fh.write(struct.pack("<I", len(params)))
+            for p in params:
+                _write_array(fh, p.name, section[p.name])
+        fh.write(struct.pack("<Q", adam_state.step))
 
 
 def load_checkpoint(path) -> tuple[Model, AdamState]:

@@ -1,5 +1,6 @@
 """Brute-force reference implementations for attention and metric tests,
-the central-difference gradient check, and the loss it checks the model with.
+the central-difference gradient check, the loss it checks the model with,
+and `tape_arrays`, a list of the arrays a tape keeps.
 
 Deliberately naive: an explicit T x T mask and a literal masked softmax for
 attention, recursion + memo for edit distance, per-frame sets for IoU, plain
@@ -8,6 +9,7 @@ python counting loops. These never share code with the package's kernels.
 
 import functools
 import math
+import types
 
 import numpy as np
 
@@ -219,3 +221,53 @@ def frozen_total_loss(stages, labels, cfg, frozen) -> nx.Tensor:
             term = nx.add(term, nx.scale(smooth, cfg.smooth_lambda))
         total = term if total is None else nx.add(total, term)
     return total
+
+
+def _buffer(arr: np.ndarray) -> np.ndarray:
+    """The array that owns `arr`'s memory (`arr` itself unless it is a view)."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def tape_arrays(loss) -> list[tuple[np.ndarray, int, str]]:
+    """(buffer, bytes, op) for each distinct array the tape of `loss` keeps.
+
+    Walks the nodes reachable from `loss`, the cells of their backward
+    closures and re-formers (through nested functions, tuples and lists) and
+    any rebuilt value a node holds. A view counts as the buffer it views.
+    `op` is the function that made the closure (`temporal_norm.<locals>.
+    backward` gives "temporal_norm"); a buffer several closures keep is
+    listed once, under the first op the walk meets. Parameter arrays that
+    closures read are listed too.
+    """
+    kept, seen = {}, set()
+
+    def scan(obj, op):
+        if isinstance(obj, np.ndarray):
+            buf = _buffer(obj)
+            kept.setdefault(id(buf), (buf, buf.nbytes, op))
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                scan(item, op)
+        elif isinstance(obj, types.FunctionType) and obj.__closure__ and id(obj) not in seen:
+            seen.add(id(obj))
+            for cell in obj.__closure__:
+                try:
+                    contents = cell.cell_contents
+                except ValueError:  # a cell not yet bound
+                    continue
+                scan(contents, op)
+
+    stack = [] if loss._node is None else [loss._node]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            scan(node._backward, node._backward.__qualname__.split(".")[0])
+        if node._reform is not None:
+            scan((node._reform, node._value), node._reform.__qualname__.split(".")[0])
+        stack.extend(reversed(node._parents))
+    return list(kept.values())

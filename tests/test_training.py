@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +269,35 @@ def test_checkpoint_preserves_forward_exactly(tmp_path, rng):
     loaded, _ = load_checkpoint(path)
     after = forward_full(loaded, feats).final()
     assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (ModelConfig(input_dim=8, num_classes=4, kernels=(3, 5), layers_per_stage=3, feature_maps=8,
+                 num_decoders=2),
+     "a4781c064f395379e8d15a3df17c0dcc4997b818c38a16312ea830ad68372d77"),
+    (ModelConfig(input_dim=8, num_classes=4, kernels=(3, 5), layers_per_stage=3, feature_maps=8,
+                 num_decoders=1, causal=True, dropout=0.25, alpha_base=3.0),
+     "454f3f8ee4d9ddcbb9682a204ea22648f18c53092b38167e6f67dda77654fab9"),
+], ids=["offline", "causal"])
+def test_checkpoint_bytes_are_pinned(tmp_path, cfg, digest):
+    model = build_model(cfg, 7)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, AdamState.init(model), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_checkpoint_save_streams_to_the_file(tmp_path):
+    model = build_model(ModelConfig(input_dim=64, num_classes=7), seed=0)
+    state = AdamState.init(model)
+    path = tmp_path / "m.ckpt"
+    tracemalloc.start()
+    try:
+        save_checkpoint(model, state, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 0.1 * size, f"saving a {size / 1e6:.1f} MB checkpoint peaked at {peak / 1e6:.1f} MB"
 
 
 def test_checkpoint_config_round_trip(tmp_path):
