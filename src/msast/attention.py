@@ -12,7 +12,8 @@ are O(T * (chunk + width)), not O(T^2), and a sequence of at most `_CHUNK`
 frames is a single dense chunk. For backward the kernel keeps two floats
 per query row, each row's softmax max and sum, and recomputes a chunk's
 probabilities from them (the FlashAttention backward), so the tape holds
-O(T) floats for attention beyond its inputs and output, not O(T * width).
+O(T) floats for attention beyond its output, not O(T * width); a Q, K or V
+that a projection GEMM produced is re-formed through that GEMM in backward.
 """
 
 import functools
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numerics import Tensor, _accumulate, _tracked, _tracking
+from .numerics import Tensor, _accumulate, _saved, _tracked, _tracking, _value
 
 NEG_INF = float("-inf")
 _CHUNK = 64  # query rows per chunk
@@ -131,38 +132,40 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec) 
             out += bias[:e - s, c:c + b - a]
         return out
 
+    def chunks():
+        """(s, e, a, b) per chunk: query rows s:e and the key slab a:b they reach."""
+        for s in range(0, n, _CHUNK):
+            e = min(s + _CHUNK, n)
+            yield s, e, max(0, o + s - left), min(T, o + e + right)
+
     qs = q.data * inv_sqrt
     out_data = np.empty_like(qs)
-    tracking = _tracking(q, k, v)
-    chunks = []
-    for s in range(0, n, _CHUNK):
-        e = min(s + _CHUNK, n)
-        a, b = max(0, o + s - left), min(T, o + e + right)
+    stats = np.empty((n, 2), dtype=qs.dtype)  # each query row's softmax max and sum
+    for s, e, a, b in chunks():
         probs = scores(qs, s, e, a, b)
-        row_max = probs.max(axis=1, keepdims=True)
-        probs -= row_max
+        probs -= probs.max(axis=1, keepdims=True, out=stats[s:e, :1])
         np.exp(probs, out=probs)
-        row_sum = probs.sum(axis=1, keepdims=True)
-        probs /= row_sum
+        probs /= probs.sum(axis=1, keepdims=True, out=stats[s:e, 1:])
         np.matmul(probs, vd[a:b], out=out_data[s:e])
-        if tracking:
-            chunks.append((s, e, a, b, row_max, row_sum))
-    if not tracking:
+    if not _tracking(q, k, v):
         return Tensor(out_data)
-    bias = None  # rebuilt on demand in backward, so the tape keeps O(n) floats here
-    qd, qn, kn = q.data, q._node, k._node
+    # q, k, v and the bias are rebuilt in backward, so the tape keeps O(n) floats here
+    bias = kd = None
+    saved, qn, kn = (_saved(q), _saved(k), _saved(v)), q._node, k._node
 
     def backward(g):
+        nonlocal kd
+        qd, kd, vd = (_value(t) for t in saved)
         # sum_j P_ij dP_ij = g_i . out_i, so the softmax backward needs no slab-wide reduction
         delta = np.einsum("ij,ij->i", g, out_data)[:, None]
         qs = qd * inv_sqrt
         dq, dk, dv = np.empty_like(qs), np.zeros_like(kd), np.zeros_like(vd)
-        for s, e, a, b, row_max, row_sum in chunks:
+        for s, e, a, b in chunks():
             # the forward's operations in its order, so probs are bit-identical
             probs = scores(qs, s, e, a, b)
-            probs -= row_max
+            probs -= stats[s:e, :1]
             np.exp(probs, out=probs)
-            probs /= row_sum
+            probs /= stats[s:e, 1:]
             dv[a:b] += probs.T @ g[s:e]
             ds = g[s:e] @ vd[a:b].T
             ds -= delta[s:e]

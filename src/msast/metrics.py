@@ -13,6 +13,7 @@ segmental scores to make an `EvalReport`. `frame_metrics`,
 the counts they pass in.
 """
 
+import colorsys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,7 +300,7 @@ def report_lines(report: EvalReport, prefix: str = "") -> list[str]:
 
 
 # 16-color palette for ribbon plots, indexed by class id. Fixed so a class
-# keeps its color across runs.
+# keeps its color across runs; `ribbon_color` extends it past 16 classes.
 RIBBON_PALETTE = (
     (31, 119, 180), (255, 127, 14), (44, 160, 44), (214, 39, 40),
     (148, 103, 189), (140, 86, 75), (227, 119, 194), (127, 127, 127),
@@ -309,9 +310,19 @@ RIBBON_PALETTE = (
 RIBBON_BAND_HEIGHT = 16  # pixel rows per sequence
 
 
+def ribbon_color(class_id: int) -> tuple[int, int, int]:
+    """RGB of a class id >= 0: RIBBON_PALETTE, then hues a golden-ratio turn
+    apart (so consecutive ids differ), alternating in saturation."""
+    if class_id < len(RIBBON_PALETTE):
+        return RIBBON_PALETTE[class_id]
+    hue = (class_id * 0.6180339887498949) % 1.0
+    rgb = colorsys.hsv_to_rgb(hue, 0.45 + 0.3 * (class_id % 2), 0.9)
+    return tuple(round(255 * c) for c in rgb)
+
+
 def emit_ribbon(sequences: list[tuple[str, np.ndarray]], path):
     """Write a binary PPM (P6): one horizontal band per named sequence, one
-    pixel column per frame, colored by class id."""
+    pixel column per frame, colored by class id (`ribbon_color`)."""
     if not sequences:
         raise DataError("emit_ribbon needs at least one sequence")
     lengths = {len(np.asarray(seq)) for _, seq in sequences}
@@ -320,14 +331,11 @@ def emit_ribbon(sequences: list[tuple[str, np.ndarray]], path):
     width = lengths.pop()
     if width == 0:
         raise DataError("ribbon sequences are empty")
-    palette = np.asarray(RIBBON_PALETTE, dtype=np.uint8)
-    height = RIBBON_BAND_HEIGHT * len(sequences)
-    pixels = np.empty((height, width, 3), dtype=np.uint8)
-    for i, (_, seq) in enumerate(sequences):
-        seq = np.asarray(seq)
-        if seq.min() < 0 or seq.max() >= len(palette):
-            raise DataError(f"class ids must be in [0, {len(palette)}) for the default palette")
-        pixels[i * RIBBON_BAND_HEIGHT:(i + 1) * RIBBON_BAND_HEIGHT] = palette[seq][None, :, :]
+    ids, index = np.unique(np.stack([np.asarray(seq) for _, seq in sequences]), return_inverse=True)
+    if ids[0] < 0:
+        raise DataError(f"class ids must be >= 0, got {ids[0]}")
+    palette = np.asarray([ribbon_color(int(c)) for c in ids], dtype=np.uint8)
+    pixels = np.repeat(palette[index.reshape(len(sequences), width)], RIBBON_BAND_HEIGHT, axis=0)
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(f"P6\n{width} {pixels.shape[0]}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())

@@ -35,9 +35,10 @@ class _Node:
     A node may also hold a re-former: a zero-argument function that rebuilds
     the node's forward value from arrays the tape keeps anyway, with the
     forward's own operations in the forward's order, so the rebuilt value is
-    bit-identical. A consumer whose closure reads the value keeps the node
-    instead (`_saved`); backward rebuilds the value at most once, on first
-    read (`value`), and drops it when the node is released. Re-formers read
+    bit-identical; a matmul output runs its GEMM again on the same operands.
+    A consumer whose closure reads the value keeps the node instead
+    (`_saved`); backward rebuilds the value at most once, on first read
+    (`value`), and drops it when the node is released. Re-formers read
     parameter arrays, so parameters must not be mutated between forward and
     backward, the same assumption every closure that captures `w.data` makes.
     """
@@ -124,12 +125,13 @@ class Tensor:
 
         A node keeps its adjoint, its closure and its inputs' nodes; the
         arrays its closure and re-former captured are the only activations
-        held for backward (one default offline train step peaks at 422 MB
-        resident at T=2000 and 1.14 GB at T=6000). Each non-leaf node is
-        released as soon as its closure has run: its grad, closure, parent
-        links, re-former and rebuilt value are dropped, so those arrays are
-        freed while the sweep goes on and backward needs no memory beyond
-        what the forward pass left. Leaves (Parameters included) keep their
+        held for backward (one default offline train step, Adam included,
+        peaks at 308 MB resident at T=2000 and 695 MB at T=6000). Each
+        non-leaf node is released as soon as its closure has run: its grad,
+        closure, parent links, re-former and rebuilt value are dropped, so
+        those arrays are freed while the sweep goes on, and backward needs
+        little memory beyond what the forward pass left (about one attention
+        call's re-formed Q, K and V). Leaves (Parameters included) keep their
         grad. A second call on the same graph propagates nothing, and
         neither does a call on an untracked tensor; build a new graph to
         differentiate again.
@@ -230,7 +232,8 @@ def as_tensor(data) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """out = a @ b; backward: da = g @ b.T, db = a.T @ g."""
+    """out = a @ b; backward: da = g @ b.T, db = a.T @ g. The output's
+    re-former runs the same GEMM again on the operands backward keeps."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
     out_data = a.data @ b.data
@@ -242,7 +245,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(an, g @ _value(b_saved).T)
         _accumulate(bn, _value(a_saved).T @ g)
 
-    return _tracked(out_data, backward, an, bn)
+    return _tracked(out_data, backward, an, bn,
+                    reform=lambda: _value(a_saved) @ _value(b_saved))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -362,10 +366,12 @@ def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
     T, C = x.data.shape
     if T < 2:
         raise ShapeError(f"temporal_norm needs T >= 2, got T={T}")
-    mu = x.data.mean(axis=0)
-    var = x.data.var(axis=0)
+    # one centring for the variance and xhat; bytes equal x.var's, as numpy
+    # takes it the same way
+    xhat = x.data - x.data.mean(axis=0)
+    var = np.add.reduce(xhat * xhat, axis=0) / T
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = (x.data - mu) * inv
+    xhat *= inv
     out_data = xhat * gain.data + bias.data
     if not _tracking(x, gain, bias):
         return Tensor(out_data)

@@ -133,15 +133,17 @@ class AdamState:
 
 def adam_step(params: list[Parameter], state: AdamState, lr: float,
               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
-    """Bias-corrected Adam update; gradients are zeroed afterward."""
+    """Bias-corrected Adam update; gradients are zeroed afterward. A
+    non-finite gradient raises NumericError before anything is updated."""
+    for p in params:
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise NumericError(f"non-finite gradient in parameter {p.name}")
     b1, b2 = betas
     state.step += 1
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     for p in params:
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient in parameter {p.name}")
         m = state.m[p.name]
         v = state.v[p.name]
         m *= b1

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from msast.cli import main
-from msast.data import read_feature_file, write_feature_file
+from msast.data import load_manifest, load_video, read_feature_file, write_feature_file
 from msast.errors import FileFormatError
+from msast.metrics import ribbon_color
 from msast.model import ModelConfig, build_model
 from msast.training import CHECKPOINT_MAGIC, AdamState, load_checkpoint, save_checkpoint
 
@@ -182,20 +183,30 @@ def test_eval_ribbons_written(tmp_path, dataset, trained):
     assert first.startswith(b"P6\n")
 
 
-def test_eval_ribbon_over_palette_exit_2_before_output(tmp_path):
+def test_eval_ribbon_draws_20_classes(tmp_path):
     # 20 classes, as in 50Salads' 19 plus one: more than the 16 palette colors
     data = tmp_path / "data20"
     assert run("synth", "--out", data, "--videos", 3, "--classes", 20, "--dim", 4,
-               "--tmin", 40, "--tmax", 50, "--seed", 1) == 0
+               "--tmin", 40, "--tmax", 50, "--stay", 0.5, "--seed", 1) == 0
     ckpt = tmp_path / "c20.ckpt"
     model = build_model(ModelConfig(input_dim=4, num_classes=20, kernels=(3,), layers_per_stage=1,
                                     feature_maps=4, num_decoders=1), seed=0)
     save_checkpoint(model, AdamState.init(model), ckpt)
-    ribbon_dir, report = tmp_path / "ribbons", tmp_path / "r.tsv"
+    ribbon_dir = tmp_path / "ribbons"
     assert run("eval", "--ckpt", ckpt, "--data", data, "--split", "train", "--oracle",
-               "--report", report, "--ribbon", ribbon_dir) == 2
-    assert not ribbon_dir.exists()
-    assert not report.exists()
+               "--report", tmp_path / "r.tsv", "--ribbon", ribbon_dir) == 0
+    manifest = load_manifest(data)
+    drawn = set()
+    for vid in manifest.split_ids("train"):
+        labels = load_video(manifest, vid).labels
+        raw = (ribbon_dir / f"{vid}.ppm").read_bytes()
+        header = f"P6\n{len(labels)} 32\n255\n".encode("ascii")
+        assert raw.startswith(header)
+        pixels = np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(32, len(labels), 3)
+        expect = np.asarray([ribbon_color(int(c)) for c in labels], dtype=np.uint8)
+        assert (pixels == expect[None]).all()  # oracle: the pred band is the gt band
+        drawn.update(labels.tolist())
+    assert max(drawn) >= 16
 
 
 def test_eval_missing_split_exit_2(tmp_path, dataset, trained):

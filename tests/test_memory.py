@@ -3,11 +3,11 @@ array buffers to it).
 
 A tape node keeps only the arrays its backward reads, so an activation no
 backward reads is freed once the forward drops it, and one that a re-former
-rebuilds from what the tape keeps anyway (a concat, a norm output) is not
-kept at all. Backward consumes the tape as it runs, so it needs no memory
-beyond what the forward pass left and keeps almost nothing once done;
-attention keeps O(T) floats for backward, not its O(T x window)
-probabilities.
+rebuilds from what the tape keeps anyway (a concat, a norm output, or a
+matmul output through its GEMM) is not kept at all. Backward consumes the
+tape as it runs, so it needs little memory beyond what the forward pass left
+and keeps almost nothing once done; attention keeps O(T) floats for
+backward, not its Q, K and V or its O(T x window) probabilities.
 """
 
 import collections
@@ -18,6 +18,7 @@ import weakref
 import numpy as np
 import pytest
 
+from msast import model as mdl
 from msast import numerics as nx
 from msast.attention import WindowSpec, sliding_window_attention
 from msast.model import ModelConfig, build_model, forward_full
@@ -49,9 +50,10 @@ def traced():
 def test_forward_tape_keeps_only_what_backward_reads(traced):
     graph = train_graph()  # noqa: F841 (the tape lives while it is held)
     tape = tracemalloc.get_traced_memory()[0]
-    # measured 9.96 MB; 13.59 MB while the tape kept norm outputs, decoder
-    # concats and float dropout masks, 21.9 MB when every node held its output
-    assert tape <= 10.5e6, f"forward tape holds {tape / 1e6:.2f} MB"
+    # measured 6.38 MB; 9.96 MB while attention kept its Q, K and V, 13.59 MB
+    # while the tape also kept norm outputs, decoder concats and float dropout
+    # masks, 21.9 MB when every node held its output
+    assert tape <= 6.7e6, f"forward tape holds {tape / 1e6:.2f} MB"
 
 
 def test_unread_activation_is_freed_with_its_tensor():
@@ -74,7 +76,9 @@ def test_backward_needs_no_memory_beyond_the_forward_tape(traced):
     tracemalloc.reset_peak()
     loss.backward()
     left, peak = tracemalloc.get_traced_memory()
-    assert peak <= 1.05 * forward, f"backward peak {peak / forward:.3f}x the forward tape"
+    # measured 7.16 MB over a 6.38 MB tape: backward re-forms one attention
+    # call's Q, K and V at a time (10.34 MB over 9.96 MB while the tape kept them)
+    assert peak <= 7.5e6, f"backward peak {peak / 1e6:.2f} MB over a {forward / 1e6:.2f} MB tape"
     # what remains: the parameters with their grads, the stage logits the
     # caller still holds, and a fixed allowance (measured 0.12 MB) for the
     # model's structure and the interpreter's free lists
@@ -138,5 +142,30 @@ def test_decoder_tape_keeps_no_concat_or_norm_output(monkeypatch):
     del made[:], outputs, kept, masks
     assert stages.logits[-1]._parents, "the graph is alive"
     assert all(ref() is None for _, _, ref in values), "the tape keeps a concat or norm output"
+    for node, forward, _ in values:
+        assert node._reform().tobytes() == forward
+
+
+def test_attention_tape_keeps_no_query_key_or_value(monkeypatch):
+    made = []  # (q, k, v) of every attention call that forms scores
+
+    def record(q, k, v, spec):
+        if spec.window_size > 1:  # a width-1 window returns v itself
+            made.append((q, k, v))
+        return sliding_window_attention(q, k, v, spec)
+
+    monkeypatch.setattr(mdl, "sliding_window_attention", record)
+    _, stages, loss = train_graph(T=50)
+    monkeypatch.undo()
+    assert len(made) == (1 + TINY.num_decoders) * (TINY.layers_per_stage - 1) * len(TINY.kernels)
+    projections = [t for qkv in made for t in qkv]
+    ids = {id(t.data) for t in projections}
+    assert len(ids) == 3 * len(made)
+    assert [op for buf, _, op in tape_arrays(loss) if id(buf) in ids] == []
+
+    values = [(t._node, t.data.tobytes(), weakref.ref(t.data)) for t in projections]
+    del made[:], projections
+    assert stages.logits[-1]._parents, "the graph is alive"
+    assert all(ref() is None for _, _, ref in values), "the tape keeps a Q, K or V"
     for node, forward, _ in values:
         assert node._reform().tobytes() == forward

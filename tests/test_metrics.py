@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from msast.errors import DataError
 from msast.metrics import (
+    RIBBON_PALETTE,
     EvalReport,
     Segment,
     aggregate,
@@ -17,6 +18,7 @@ from msast.metrics import (
     f1_at_overlap,
     f1_avg,
     frame_metrics,
+    ribbon_color,
     segments_from_labels,
 )
 
@@ -377,4 +379,14 @@ def test_ribbon_length_mismatch(tmp_path):
 
 def test_ribbon_class_out_of_palette(tmp_path):
     with pytest.raises(DataError):
-        emit_ribbon([("a", np.array([16]))], tmp_path / "bad.ppm")
+        emit_ribbon([("a", np.array([3, -1]))], tmp_path / "bad.ppm")
+
+
+def test_ribbon_colors_extend_the_palette(tmp_path):
+    path = tmp_path / "many.ppm"
+    emit_ribbon([("x", np.arange(64))], path)
+    _, _, pixels = _read_ppm(path)
+    colors = [tuple(int(c) for c in px) for px in pixels[0]]
+    assert colors == [ribbon_color(c) for c in range(64)]
+    assert colors[:16] == list(RIBBON_PALETTE)
+    assert len(set(colors)) == 64

@@ -160,6 +160,26 @@ def test_adam_rejects_non_finite_gradient():
         adam_step([p], state, lr=1e-3)
 
 
+def test_adam_non_finite_gradient_updates_nothing():
+    params = [Parameter(np.full(3, float(i)), f"p{i}") for i in range(4)]
+    state = AdamState(m={p.name: np.zeros(3) for p in params},
+                      v={p.name: np.zeros(3) for p in params})
+    for p in params:
+        p.grad = np.arange(3.0) + 1
+    adam_step(params, state, lr=1e-3)
+    for p in params:
+        p.grad = np.ones(3)
+    params[-1].grad[1] = np.nan
+    before = [(p.data.copy(), state.m[p.name].copy(), state.v[p.name].copy()) for p in params]
+    with pytest.raises(NumericError, match="p3"):
+        adam_step(params, state, lr=1e-3)
+    assert state.step == 1
+    for p, (data, m, v) in zip(params, before):
+        np.testing.assert_array_equal(p.data, data)
+        np.testing.assert_array_equal(state.m[p.name], m)
+        np.testing.assert_array_equal(state.v[p.name], v)
+
+
 # --- training loop ---------------------------------------------------------------------
 
 def _toy_dataset(seed=0, videos=2, T=40):
