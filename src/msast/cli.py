@@ -2,13 +2,11 @@
 
 Run configs are flat key=value text files; CLI flags override file values
 and every command echoes its fully resolved configuration before doing any
-work. Exit codes are a stable contract:
-
-    0 success          2 usage/config     3 I/O failure
-    4 numeric failure  5 incompatibility  6 mode violation
+work. Exit codes are a stable contract, kept in `EXIT_CODES`.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -21,39 +19,33 @@ from .errors import ConfigError, DataError, FileFormatError, ModeError, NumericE
 from .model import ModelConfig, StreamState, build_model, forward_stream, labels_from_logits, predict
 from .training import AdamState, TrainConfig, load_checkpoint, save_checkpoint, train
 
-MODEL_KEYS = ("kernels", "layers_per_stage", "feature_maps", "num_classes", "input_dim",
-              "num_decoders", "causal", "dropout", "alpha_base")
+MODEL_KEYS = tuple(field.name for field in dataclasses.fields(ModelConfig))
 TRAIN_KEYS = ("epochs", "learning_rate", "smooth_tau", "smooth_lambda", "seed")
-OTHER_KEYS = ("data_root", "split")
-ALL_KEYS = MODEL_KEYS + TRAIN_KEYS + OTHER_KEYS
+_HINTS = ModelConfig.__annotations__ | TrainConfig.__annotations__
+KEY_TYPES = {key: _HINTS[key] for key in MODEL_KEYS + TRAIN_KEYS} | {"data_root": str}
+
+# exception class -> exit code; 0 is success
+EXIT_CODES = ((ConfigError, 2), (DataError, 2), (FileFormatError, 3), (OSError, 3),
+              (NumericError, 4), (ShapeError, 5), (ModeError, 6))
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# value type -> (parser, what a value that fails to parse should have been)
+_PARSERS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    bool: (lambda raw: _BOOLS[raw.lower()], "a boolean"),
+    tuple[int, ...]: (lambda raw: tuple(map(int, raw.split(","))), "a comma list of ints"),
+    str: (str, None),
+}
 
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    if key == "kernels":
-        try:
-            return tuple(int(part) for part in raw.split(","))
-        except ValueError:
-            raise ConfigError(f"kernels must be a comma list of ints, got {raw!r}") from None
-    if key == "causal":
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"causal must be a boolean, got {raw!r}")
-    if key in ("layers_per_stage", "feature_maps", "num_classes", "input_dim",
-               "num_decoders", "epochs", "seed"):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-    if key in ("dropout", "alpha_base", "learning_rate", "smooth_tau", "smooth_lambda"):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-    return raw
+    parse, expected = _PARSERS[KEY_TYPES[key]]
+    try:
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key} must be {expected}, got {raw!r}") from None
 
 
 def read_run_config(path) -> dict:
@@ -66,7 +58,7 @@ def read_run_config(path) -> dict:
             raise ConfigError(f"{path}: line {lineno} is not key=value: {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip()
-        if key not in ALL_KEYS:
+        if key not in KEY_TYPES:
             raise ConfigError(f"{path}: unknown config key {key!r} on line {lineno}")
         values[key] = _parse_value(key, raw)
     return values
@@ -78,7 +70,7 @@ def _apply_overrides(values: dict, sets: list[str]):
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         key = key.strip()
-        if key not in ALL_KEYS:
+        if key not in KEY_TYPES:
             raise ConfigError(f"--set: unknown config key {key!r}")
         values[key] = _parse_value(key, raw)
 
@@ -147,12 +139,11 @@ def cmd_train(args) -> int:
     values.setdefault("input_dim", int(train_set[0].features.shape[1]))
     model_cfg = ModelConfig(**{k: values[k] for k in MODEL_KEYS if k in values})
     train_cfg = TrainConfig(**{k: values[k] for k in TRAIN_KEYS if k in values})
-    resolved = {k: values.get(k) for k in values}
-    resolved.update({k: getattr(model_cfg, k) for k in MODEL_KEYS})
-    resolved.update({"epochs": train_cfg.epochs, "learning_rate": train_cfg.learning_rate,
-                     "smooth_tau": train_cfg.smooth_tau, "smooth_lambda": train_cfg.smooth_lambda,
-                     "seed": train_cfg.seed, "out": args.out})
+    resolved = dict(values, out=args.out)
+    resolved.update((k, getattr(model_cfg, k)) for k in MODEL_KEYS)
+    resolved.update((k, getattr(train_cfg, k)) for k in TRAIN_KEYS)
     _echo("train config", resolved)
+    train_cfg.validate()
     model = build_model(model_cfg, seed=train_cfg.seed)
     adam_state = AdamState.init(model)
     history = train(model, train_set, train_cfg, adam_state)
@@ -170,12 +161,11 @@ def cmd_train(args) -> int:
 
 def _load_model_checked(ckpt_path):
     _require_file(ckpt_path, "checkpoint")
-    model, state = load_checkpoint(ckpt_path)
-    return model, state
+    return load_checkpoint(ckpt_path)[0]
 
 
 def cmd_eval(args) -> int:
-    model, _ = _load_model_checked(args.ckpt)
+    model = _load_model_checked(args.ckpt)
     _require_file(args.data, "data directory")
     _require_file(os.path.join(args.data, "mapping.txt"), "mapping file")
     _require_file(os.path.join(args.data, "splits", f"{args.split}.txt"), f"{args.split} split")
@@ -227,7 +217,7 @@ def _read_video(path, model) -> np.ndarray:
 
 
 def cmd_predict(args) -> int:
-    model, _ = _load_model_checked(args.ckpt)
+    model = _load_model_checked(args.ckpt)
     _require_file(args.features, "feature file")
     _echo("predict config", {"ckpt": args.ckpt, "features": args.features, "out": args.out})
     features = _read_video(args.features, model)
@@ -238,7 +228,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    model, _ = _load_model_checked(args.ckpt)
+    model = _load_model_checked(args.ckpt)
     if not model.cfg.causal:
         raise ModeError("streaming requires a causal model")
     _require_file(args.features, "feature file")
@@ -317,21 +307,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError) as exc:
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except ModeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -247,6 +247,8 @@ class SynthConfig:
             problems.append(f"skip_prob must be in [0, 1], got {self.skip_prob}")
         if self.noise_sigma < 0:
             problems.append(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if problems:
             raise ConfigError("invalid synth config: " + "; ".join(problems))
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Each CLI exit code maps onto one of these (see cli.py), so library code
-raises the most specific class it can and never calls sys.exit itself.
+Each CLI exit code maps onto one of these (the table is `cli.EXIT_CODES`),
+so library code raises the most specific class it can and never calls
+sys.exit itself.
 """
 
 

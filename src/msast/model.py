@@ -217,11 +217,12 @@ def multiscale_fuse(h_base: Tensor, attn_outs, weights, alpha: float) -> Tensor:
 
 
 def block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer: int,
-                  alpha: float, cfg: ModelConfig, rng=None, training: bool = False,
+                  alpha: float, cfg: ModelConfig, rng=None,
                   cache: _BlockCache | None = None) -> Tensor:
     """Encoder block (enc_out None: Q, K, V from the conv branch) or decoder
     block (Q and K read [branch | enc_out], V the branch only). An enc_out
     not shaped like x raises ShapeError, in layer 1 too, where Q and K are not formed.
+    An rng turns dropout on (training); without one the block is deterministic.
 
     With a cache (causal streaming, no tape) x holds only the new rows: the
     convs read them after the cached inputs, attention reads the new keys
@@ -254,8 +255,7 @@ def block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer:
         attn_outs.append(sliding_window_attention(q, k, v, spec))
     fused = multiscale_fuse(h_base, attn_outs, [br.mix for br in params.branches], alpha)
     proj = nx.add(nx.matmul(fused, params.out_w), params.out_b)
-    dropped, _ = nx.dropout(proj, cfg.dropout, rng, training)
-    return nx.add(x, dropped)
+    return nx.add(x, nx.dropout(proj, cfg.dropout, rng))
 
 
 def assemble_model(cfg: ModelConfig, param, dtype=np.float32) -> Model:
@@ -325,29 +325,28 @@ def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> Model:
 
 
 def _run_stage(h: Tensor, stage: StageParams, cfg: ModelConfig, enc_hidden: Tensor | None,
-               alpha: float, rng, training: bool, caches: list) -> tuple[Tensor, Tensor]:
+               alpha: float, rng, caches: list) -> tuple[Tensor, Tensor]:
     """Returns (final hidden state, logits) for one stage."""
     for layer, (params, cache) in enumerate(zip(stage.blocks, caches), start=1):
-        h = block_forward(h, enc_hidden, params, layer, alpha, cfg, rng, training, cache)
+        h = block_forward(h, enc_hidden, params, layer, alpha, cfg, rng, cache)
     logits = nx.add(nx.matmul(h, stage.head_w), stage.head_b)
     return h, logits
 
 
-def _forward(model: Model, features: np.ndarray, rng, training: bool,
-             caches=None) -> StageOutputs:
+def _forward(model: Model, features: np.ndarray, rng, caches=None) -> StageOutputs:
     """All stages over `features`: the whole sequence when caches is None,
     else the newest frames of a stream whose past the caches hold."""
     cfg = model.cfg
     caches = caches or [[None] * cfg.layers_per_stage] * (1 + cfg.num_decoders)
     x = nx.as_tensor(features.astype(model.dtype, copy=False))
     h = nx.add(nx.matmul(x, model.encoder.in_w), model.encoder.in_b)
-    enc_hidden, logits = _run_stage(h, model.encoder, cfg, None, 1.0, rng, training, caches[0])
+    enc_hidden, logits = _run_stage(h, model.encoder, cfg, None, 1.0, rng, caches[0])
     stages = [logits]
     for d, dec in enumerate(model.decoders, start=1):
         alpha = alpha_schedule(d, cfg.alpha_base)
         inp = nx.softmax_rows(stages[-1])
         h = nx.add(nx.matmul(inp, dec.in_w), dec.in_b)
-        _, logits = _run_stage(h, dec, cfg, enc_hidden, alpha, rng, training, caches[d])
+        _, logits = _run_stage(h, dec, cfg, enc_hidden, alpha, rng, caches[d])
         stages.append(logits)
     return StageOutputs(stages)
 
@@ -356,8 +355,8 @@ def forward_full(model: Model, features: np.ndarray, mode: str = "infer",
                  rng=None) -> StageOutputs:
     """Run all stages over a full feature sequence.
 
-    mode "train" keeps the tape and applies dropout (rng required when
-    dropout > 0); mode "infer" is deterministic and tape-free.
+    mode "train" keeps the tape and passes `rng`, which turns dropout on
+    (required when dropout > 0); mode "infer" passes none and builds no tape.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -371,9 +370,9 @@ def forward_full(model: Model, features: np.ndarray, mode: str = "infer",
     if mode == "train":
         if cfg.dropout > 0 and rng is None:
             raise ConfigError("training forward with dropout > 0 needs an rng")
-        return _forward(model, features, rng, True)
+        return _forward(model, features, rng)
     with no_grad():
-        return _forward(model, features, rng, False)
+        return _forward(model, features, None)
 
 
 def forward_stream(model: Model, next_feature_frame: np.ndarray, state: StreamState) -> np.ndarray:
@@ -397,7 +396,7 @@ def forward_stream(model: Model, next_feature_frame: np.ndarray, state: StreamSt
                          for layer in range(1, model.cfg.layers_per_stage + 1)]
                         for _ in range(1 + model.cfg.num_decoders)]
     with no_grad():
-        logits = _forward(model, frame, None, False, state.blocks).final()
+        logits = _forward(model, frame, None, state.blocks).final()
     state.frames += 1
     return logits
 

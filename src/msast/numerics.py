@@ -313,31 +313,28 @@ def relu(x: Tensor) -> Tensor:
     return _tracked(out_data, backward, xn)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool):
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
 
-    Inference (or rate 0) is the exact identity: the input tensor is
-    returned unchanged with mask None. The tape keeps the boolean keep-mask
-    and backward rebuilds the scaled mask from it.
+    The generator turns it on: with no rng (inference) or rate 0 it is the
+    exact identity and returns the input tensor itself. The tape keeps the
+    boolean keep-mask and backward rebuilds the scaled mask from it.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x, None
-    if rng is None:
-        raise ConfigError("dropout in training mode needs an RNG")
+    if rng is None or rate == 0.0:
+        return x
     keep = rng.random(x.data.shape) >= rate
     dtype = x.data.dtype
-    mask = keep.astype(dtype) / dtype.type(1.0 - rate)
-    out_data = x.data * mask
+    out_data = x.data * (keep.astype(dtype) / dtype.type(1.0 - rate))
     if not _tracking(x):
-        return Tensor(out_data), mask
+        return Tensor(out_data)
     xn = x._node
 
     def backward(g):
         _accumulate(xn, g * (keep.astype(dtype) / dtype.type(1.0 - rate)))
 
-    return _tracked(out_data, backward, xn), mask
+    return _tracked(out_data, backward, xn)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -356,7 +353,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _tracked(out_data, backward, xn)
 
 
-def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each channel with mean/variance taken over the full time axis.
 
     Only valid on acausal paths: the statistics read the whole sequence.
@@ -370,7 +367,7 @@ def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
     # takes it the same way
     xhat = x.data - x.data.mean(axis=0)
     var = np.add.reduce(xhat * xhat, axis=0) / T
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.data.dtype.type(1e-5))
     xhat *= inv
     out_data = xhat * gain.data + bias.data
     if not _tracking(x, gain, bias):

@@ -43,6 +43,11 @@ class TrainConfig:
             problems.append(f"smooth_tau must be > 0, got {self.smooth_tau}")
         if self.smooth_lambda < 0:
             problems.append(f"smooth_lambda must be >= 0, got {self.smooth_lambda}")
+        for name in ("learning_rate", "smooth_lambda"):
+            if not np.isfinite(getattr(self, name)):
+                problems.append(f"{name} must be finite, got {getattr(self, name)}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if problems:
             raise ConfigError("invalid train config: " + "; ".join(problems))
 

@@ -106,6 +106,45 @@ def test_train_unknown_config_key_exit_2(tmp_path, dataset):
     assert run("train", "--config", cfg, "--out", tmp_path / "x.ckpt") == 2
 
 
+def test_train_split_key_is_unknown_exit_2(tmp_path, dataset, config, capsys):
+    # train always reads the train split, so a split key would be accepted and ignored
+    cfg = write_config(tmp_path / "split.cfg", dataset, split="test")
+    assert run("train", "--config", cfg, "--out", tmp_path / "x.ckpt") == 2
+    assert "unknown config key 'split'" in capsys.readouterr().err
+    assert run("train", "--config", config, "--out", tmp_path / "x.ckpt", "--set", "split=test") == 2
+    assert capsys.readouterr().err == "error: --set: unknown config key 'split'\n"
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("kernels=3,x", "kernels must be a comma list of ints, got '3,x'"),
+    ("causal=maybe", "causal must be a boolean, got 'maybe'"),
+    ("epochs=two", "epochs must be an integer, got 'two'"),
+    ("dropout=half", "dropout must be a number, got 'half'"),
+])
+def test_train_malformed_value_exit_2(tmp_path, config, capsys, setting, message):
+    assert run("train", "--config", config, "--out", tmp_path / "x.ckpt", "--set", setting) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("setting", ["learning_rate=nan", "learning_rate=inf", "smooth_lambda=nan"])
+def test_train_non_finite_hyperparameter_exit_2(tmp_path, config, capsys, setting):
+    assert run("train", "--config", config, "--out", tmp_path / "x.ckpt", "--set", setting) == 2
+    key, value = setting.split("=")
+    assert f"{key} must be finite, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_negative_seed_exit_2(tmp_path, config, capsys, command):
+    out = tmp_path / "out"
+    argv = {"synth": ("synth", "--out", out, "--videos", 2, "--seed", -1),
+            "train": ("train", "--config", config, "--out", out, "--set", "seed=-1")}[command]
+    assert run(*argv) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["labels", "mapping", "split", "config"])
 def test_train_non_utf8_text_exit_2(tmp_path, dataset, config, target):
     path = {

@@ -211,6 +211,10 @@ def test_forward_infer_deterministic(rng):
     a = forward_full(model, feats).final()
     b = forward_full(model, feats).final()
     assert np.array_equal(a, b)
+    # a generator given to inference turns nothing on and is not drawn from
+    gen = np.random.default_rng(3)
+    assert np.array_equal(forward_full(model, feats, rng=gen).final(), a)
+    assert gen.random() == np.random.default_rng(3).random()
 
 
 def test_forward_rejects_wrong_dim(rng):

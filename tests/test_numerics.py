@@ -184,32 +184,29 @@ def test_relu_example():
 
 def test_dropout_rate_zero_identity(rng):
     x = as_tensor(rng.normal(size=(5, 4)))
-    out, mask = nx.dropout(x, 0.0, np.random.default_rng(7), training=True)
-    assert out is x
-    assert mask is None
+    assert nx.dropout(x, 0.0, np.random.default_rng(7)) is x
 
 
 def test_dropout_inference_identity(rng):
     x = as_tensor(rng.normal(size=(5, 4)))
-    out, mask = nx.dropout(x, 0.5, np.random.default_rng(7), training=False)
-    assert out is x
-    assert mask is None
+    assert nx.dropout(x, 0.5, None) is x
 
 
 def test_dropout_training_scales_survivors(rng):
     x = as_tensor(np.ones((200, 50)))
-    out, mask = nx.dropout(x, 0.5, np.random.default_rng(7), training=True)
+    out = nx.dropout(x, 0.5, np.random.default_rng(7))
     values = np.unique(out.data)
     assert set(values.tolist()) <= {0.0, 2.0}
     # survivor fraction close to 1 - rate
     assert abs((out.data != 0).mean() - 0.5) < 0.02
-    np.testing.assert_array_equal(out.data, x.data * mask)
+    keep = np.random.default_rng(7).random(x.data.shape) >= 0.5
+    np.testing.assert_array_equal(out.data, x.data * keep / 0.5)
 
 
 def test_dropout_rate_validation(rng):
     x = as_tensor(np.zeros((2, 2)))
     with pytest.raises(ConfigError):
-        nx.dropout(x, 1.0, np.random.default_rng(0), training=True)
+        nx.dropout(x, 1.0, np.random.default_rng(0))
 
 
 # --- temporal norm ----------------------------------------------------------
