@@ -34,9 +34,7 @@ from .metrics import (
     edit_score,
     emit_ribbon,
     evaluate_video,
-    f1_at_overlap,
     f1_avg,
-    frame_metrics,
     segments_from_labels,
 )
 from .model import (

@@ -37,8 +37,6 @@ class VideoSample:
 class DatasetManifest:
     root: str
     mapping: dict[int, str]
-    train_ids: list[str]
-    test_ids: list[str]
 
     @property
     def num_classes(self) -> int:
@@ -51,11 +49,10 @@ class DatasetManifest:
         return os.path.join(self.root, "labels", f"{video_id}.txt")
 
     def split_ids(self, split: str) -> list[str]:
-        if split == "train":
-            return self.train_ids
-        if split == "test":
-            return self.test_ids
-        raise ConfigError(f"unknown split {split!r}, expected 'train' or 'test'")
+        """The ids in splits/<split>.txt, read on each call."""
+        if split not in ("train", "test"):
+            raise ConfigError(f"unknown split {split!r}, expected 'train' or 'test'")
+        return read_split(os.path.join(self.root, "splits", f"{split}.txt"))
 
 
 class _Reader:
@@ -189,12 +186,8 @@ def read_split(path) -> list[str]:
 
 
 def load_manifest(root) -> DatasetManifest:
-    return DatasetManifest(
-        root=str(root),
-        mapping=read_mapping(os.path.join(root, "mapping.txt")),
-        train_ids=read_split(os.path.join(root, "splits", "train.txt")),
-        test_ids=read_split(os.path.join(root, "splits", "test.txt")),
-    )
+    """The class mapping of a dataset tree; split files are read only when asked for."""
+    return DatasetManifest(root=str(root), mapping=read_mapping(os.path.join(root, "mapping.txt")))
 
 
 def check_class_ids(ids: np.ndarray, num_classes: int, what):
@@ -245,8 +238,8 @@ class SynthConfig:
             problems.append(f"self_transition_prob must be in [0, 1], got {self.self_transition_prob}")
         if not 0.0 <= self.skip_prob <= 1.0:
             problems.append(f"skip_prob must be in [0, 1], got {self.skip_prob}")
-        if self.noise_sigma < 0:
-            problems.append(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            problems.append(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.seed < 0:
             problems.append(f"seed must be >= 0, got {self.seed}")
         if problems:

@@ -6,11 +6,11 @@ edit score (normalized Levenshtein over segment label strings) and F1 at
 IoU overlap thresholds, with greedy max-IoU matching and at most one match
 per ground-truth segment. No boundary relaxation anywhere.
 
-Every frame score comes from one path: a counts[gt][pred] matrix
-(`confusion_matrix`) goes through `_frame_scores`, and `_report` adds the
-segmental scores to make an `EvalReport`. `frame_metrics`,
-`evaluate_video` and the pooled `aggregate(mode="overall")` differ only in
-the counts they pass in.
+Every score comes from one path: `_report` turns a counts[gt][pred] matrix
+(`confusion_matrix`), the segment (tp, fp, fn) counts at each of
+`F1_THRESHOLDS` and an edit score into an `EvalReport`. `evaluate_video`
+and the pooled `aggregate(mode="overall")` differ only in the counts they
+pass in.
 """
 
 import colorsys
@@ -52,53 +52,8 @@ class ClassScores:
     jaccard: float
 
 
-@dataclass
-class FrameMetrics:
-    accuracy: float
-    per_class: dict[int, ClassScores]
-    precision: float  # macro over classes present in gt
-    recall: float
-    jaccard: float
-
-
 def _ratio(num: int, den: int) -> float:
     return 100.0 * num / den if den else 0.0
-
-
-def _frame_scores(counts: np.ndarray, classes) -> FrameMetrics:
-    """Scores from counts[gt][pred]; row i is reported as class classes[i]."""
-    tp = np.diag(counts)
-    gt_n = counts.sum(axis=1)
-    pred_n = counts.sum(axis=0)
-    per_class = {
-        classes[i]: ClassScores(
-            precision=_ratio(int(tp[i]), int(pred_n[i])),
-            recall=_ratio(int(tp[i]), int(gt_n[i])),
-            jaccard=_ratio(int(tp[i]), int(pred_n[i] + gt_n[i] - tp[i])),
-        )
-        for i in np.flatnonzero(gt_n).tolist()
-    }
-    scores = list(per_class.values())
-    return FrameMetrics(
-        accuracy=_ratio(int(tp.sum()), int(gt_n.sum())),
-        per_class=per_class,
-        precision=float(np.mean([s.precision for s in scores])),
-        recall=float(np.mean([s.recall for s in scores])),
-        jaccard=float(np.mean([s.jaccard for s in scores])),
-    )
-
-
-def frame_metrics(pred, gt) -> FrameMetrics:
-    """Frame scores for label sequences with arbitrary ids, keyed by label."""
-    pred = np.asarray(pred)
-    gt = np.asarray(gt)
-    if pred.shape != gt.shape:
-        raise DataError(f"length mismatch: pred {pred.shape} vs gt {gt.shape}")
-    if gt.size == 0:
-        raise DataError("frame metrics need a nonempty label sequence")
-    labels, ids = np.unique(np.concatenate([pred.ravel(), gt.ravel()]), return_inverse=True)
-    pred_ids, gt_ids = ids.reshape(2, -1)
-    return _frame_scores(confusion_matrix(pred_ids, gt_ids, len(labels)), labels.tolist())
 
 
 def _levenshtein(a: list[int], b: list[int]) -> int:
@@ -149,24 +104,10 @@ def _overlap_counts(matches, num_gt: int, tau: float) -> tuple[int, int, int]:
     return tp, len(matches) - tp, num_gt - tp
 
 
-def f1_at_overlap(pred, gt, threshold: float) -> tuple[float, float, float]:
-    """(precision, recall, f1) in percent at one IoU threshold."""
-    if not 0.0 < threshold <= 1.0:
-        raise DataError(f"overlap threshold must be in (0, 1], got {threshold}")
-    pred = np.asarray(pred)
-    gt = np.asarray(gt)
-    if pred.shape != gt.shape:
-        raise DataError(f"length mismatch: pred {pred.shape} vs gt {gt.shape}")
-    gt_segs = segments_from_labels(gt)
-    matches = _best_matches(segments_from_labels(pred), gt_segs)
-    return _f1_from_counts(*_overlap_counts(matches, len(gt_segs), threshold))
-
-
-def _f1_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+def _f1(tp: int, fp: int, fn: int) -> float:
     precision = _ratio(tp, tp + fp)
     recall = _ratio(tp, tp + fn)
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+    return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
 
 
 def f1_avg(f10: float, f25: float, f50: float) -> float:
@@ -174,8 +115,8 @@ def f1_avg(f10: float, f25: float, f50: float) -> float:
     return (f10 + f25 + f50) / 3.0
 
 
-def confusion_matrix(pred, gt, num_classes: int, normalize: bool = False) -> np.ndarray:
-    """counts[gt][pred]; normalized rows sum to 1, all-zero rows stay zero."""
+def confusion_matrix(pred, gt, num_classes: int) -> np.ndarray:
+    """counts[gt][pred] for class ids in [0, num_classes)."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
@@ -185,13 +126,7 @@ def confusion_matrix(pred, gt, num_classes: int, normalize: bool = False) -> np.
     # int64 so that gt * num_classes cannot wrap in a narrow label dtype
     flat = gt.astype(np.int64, casting="same_kind", copy=False) * num_classes + pred
     counts = np.bincount(flat.ravel(), minlength=num_classes * num_classes)
-    counts = counts.reshape(num_classes, num_classes)
-    if not normalize:
-        return counts
-    sums = counts.sum(axis=1, keepdims=True)
-    out = np.zeros_like(counts, dtype=np.float64)
-    np.divide(counts, sums, out=out, where=sums > 0)
-    return out
+    return counts.reshape(num_classes, num_classes)
 
 
 @dataclass
@@ -213,17 +148,29 @@ class EvalReport:
 
 def _report(confusion: np.ndarray, f1_counts: dict[int, tuple[int, int, int]],
             edit: float, video_id: str | None) -> EvalReport:
-    fm = _frame_scores(confusion, range(confusion.shape[0]))
-    f1_at = {t: _f1_from_counts(*f1_counts[t])[2] for t in F1_THRESHOLDS}
+    """Scores from counts[gt][pred] (row i is class i) and segment counts."""
+    tp = np.diag(confusion)
+    gt_n = confusion.sum(axis=1)
+    pred_n = confusion.sum(axis=0)
+    per_class = {
+        i: ClassScores(
+            precision=_ratio(int(tp[i]), int(pred_n[i])),
+            recall=_ratio(int(tp[i]), int(gt_n[i])),
+            jaccard=_ratio(int(tp[i]), int(pred_n[i] + gt_n[i] - tp[i])),
+        )
+        for i in np.flatnonzero(gt_n).tolist()  # macro over classes present in gt
+    }
+    scores = per_class.values()
+    f1_at = {t: _f1(*f1_counts[t]) for t in F1_THRESHOLDS}
     return EvalReport(
-        accuracy=fm.accuracy,
-        precision=fm.precision,
-        recall=fm.recall,
-        jaccard=fm.jaccard,
+        accuracy=_ratio(int(tp.sum()), int(gt_n.sum())),
+        precision=float(np.mean([s.precision for s in scores])),
+        recall=float(np.mean([s.recall for s in scores])),
+        jaccard=float(np.mean([s.jaccard for s in scores])),
         edit=edit,
         f1_at=f1_at,
         f1_avg=f1_avg(f1_at[10], f1_at[25], f1_at[50]),
-        per_class=fm.per_class,
+        per_class=per_class,
         confusion=confusion,
         f1_counts=f1_counts,
         video_id=video_id,

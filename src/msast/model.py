@@ -72,8 +72,8 @@ class ModelConfig:
             problems.append(f"num_decoders must be >= 1, got {self.num_decoders}")
         if not 0.0 <= self.dropout < 1.0:
             problems.append(f"dropout must be in [0, 1), got {self.dropout}")
-        if not self.alpha_base > 0:
-            problems.append(f"alpha_base must be > 0, got {self.alpha_base}")
+        if not 0 < self.alpha_base < math.inf:
+            problems.append(f"alpha_base must be finite and > 0, got {self.alpha_base}")
         return problems
 
     def validate(self):

@@ -230,9 +230,8 @@ def train(model: Model, dataset, cfg: TrainConfig, adam_state: AdamState | None 
 # --- checkpoint format ------------------------------------------------------
 #
 # magic "MSASTCK1" | u32 version=1
-# config: u32 kernel count, u32 per kernel, then _CONFIG_FORMAT: u32
-#   layers_per_stage, feature_maps, input_dim, num_classes, num_decoders,
-#   causal (0/1), float32 dropout, float32 alpha_base
+# config: u32 kernel count, u32 per kernel, then the _CONFIG_FIELDS packed
+#   as _CONFIG_FORMAT: six u32 (causal as 0/1), float32 dropout and alpha_base
 # u32 parameter count; per parameter, in Model.parameters() order:
 #   u16 name length, UTF-8 name, u8 rank, rank x u32 dims, float32 LE values
 # the same count+entry layout again for Adam m, then Adam v, then u64 step.
@@ -244,6 +243,8 @@ def train(model: Model, dataset, cfg: TrainConfig, adam_state: AdamState | None 
 CHECKPOINT_MAGIC = b"MSASTCK1"
 CHECKPOINT_VERSION = 1
 _CONFIG_FORMAT = "<6I2f"
+_CONFIG_FIELDS = ("layers_per_stage", "feature_maps", "input_dim", "num_classes", "num_decoders",
+                  "causal", "dropout", "alpha_base")
 
 
 def _write_array(fh, name: str, arr: np.ndarray):
@@ -278,9 +279,7 @@ def save_checkpoint(model: Model, adam_state: AdamState, path):
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(cfg.kernels)))
         fh.write(struct.pack(f"<{len(cfg.kernels)}I", *cfg.kernels))
-        fh.write(struct.pack(_CONFIG_FORMAT, cfg.layers_per_stage, cfg.feature_maps, cfg.input_dim,
-                             cfg.num_classes, cfg.num_decoders, int(cfg.causal),
-                             cfg.dropout, cfg.alpha_base))
+        fh.write(struct.pack(_CONFIG_FORMAT, *(getattr(cfg, name) for name in _CONFIG_FIELDS)))
         fh.write(struct.pack("<I", len(params)))
         for p in params:
             _write_array(fh, p.name, p.data)
@@ -302,15 +301,11 @@ def load_checkpoint(path) -> tuple[Model, AdamState]:
                           f"expected {CHECKPOINT_VERSION}")
         (n_kernels,) = r.unpack("<I", "kernel count")
         kernels = r.unpack(f"<{n_kernels}I", "kernel sizes")
-        *ints, dropout, alpha_base = r.unpack(_CONFIG_FORMAT, "model config")
-        cfg = ModelConfig(
-            input_dim=ints[2], num_classes=ints[3], kernels=kernels,
-            layers_per_stage=ints[0], feature_maps=ints[1], num_decoders=ints[4],
-            causal=bool(ints[5]), dropout=dropout, alpha_base=alpha_base,
-        )
+        header = dict(zip(_CONFIG_FIELDS, r.unpack(_CONFIG_FORMAT, "model config")))
+        cfg = ModelConfig(kernels=kernels, **header | {"causal": bool(header["causal"])})
         problems = cfg.violations()
-        if ints[5] > 1:
-            problems.append(f"causal flag must be 0 or 1, got {ints[5]}")
+        if header["causal"] > 1:
+            problems.append(f"causal flag must be 0 or 1, got {header['causal']}")
         if problems:
             raise r.error("checkpoint header holds an invalid model config: " + "; ".join(problems))
         (n_params,) = r.unpack("<I", "parameter count")

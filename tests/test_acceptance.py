@@ -12,15 +12,14 @@ import pytest
 from msast.attention import WindowSpec, sliding_window_attention, window_schedule
 from msast.cli import main as cli_main
 from msast.data import SynthConfig, generate_synthetic
-from msast.metrics import aggregate, edit_score, evaluate_video, f1_at_overlap, f1_avg, \
-    frame_metrics, segments_from_labels
+from msast.metrics import F1_THRESHOLDS, aggregate, evaluate_video, f1_avg, segments_from_labels
 from msast.model import ModelConfig, build_model, forward_full, predict
 from msast.numerics import as_tensor
 from msast.training import AdamState, TrainConfig, load_checkpoint, total_loss, train
 
-from tests.oracles import attention_mask, brute_edit_score, brute_f1, brute_frame_metrics, \
-    capture_smooth_prev, dense_masked_attention_reference, finite_diff_check, frozen_total_loss, \
-    random_label_pair
+from tests.oracles import attention_mask, brute_edit_score, brute_f1, brute_f1_counts, \
+    brute_frame_metrics, capture_smooth_prev, dense_masked_attention_reference, finite_diff_check, \
+    frozen_total_loss, random_label_pair
 from tests.single_scale_reference import single_scale_forward
 
 
@@ -151,19 +150,20 @@ def test_criterion_7_metric_oracles():
         rng = np.random.default_rng(909)
         for _ in range(200):
             pred, gt = random_label_pair(rng, max_len=50, max_classes=5)
-            got_edit = edit_score(segments_from_labels(pred), segments_from_labels(gt))
+            report = evaluate_video(pred, gt, 5)  # the scorer `msast eval` runs
             want_edit = brute_edit_score([s.label for s in segments_from_labels(pred)],
                                          [s.label for s in segments_from_labels(gt)])
-            assert got_edit == pytest.approx(want_edit, abs=1e-9)
-            for tau in (0.10, 0.25, 0.50):
-                assert f1_at_overlap(pred, gt, tau) == pytest.approx(brute_f1(pred, gt, tau))
-            fm = frame_metrics(pred, gt)
+            assert report.edit == pytest.approx(want_edit, abs=1e-9)
+            for t in F1_THRESHOLDS:
+                assert report.f1_counts[t] == brute_f1_counts(pred, gt, t / 100)
+                assert report.f1_at[t] == brute_f1(pred, gt, t / 100)[2]
             acc, per_class = brute_frame_metrics(pred, gt)
-            assert fm.accuracy == pytest.approx(acc)
+            assert report.accuracy == pytest.approx(acc)
+            assert set(report.per_class) == set(per_class)
             for c, (p, r, j) in per_class.items():
-                assert fm.per_class[c].precision == pytest.approx(p)
-                assert fm.per_class[c].recall == pytest.approx(r)
-                assert fm.per_class[c].jaccard == pytest.approx(j)
+                assert report.per_class[c].precision == pytest.approx(p)
+                assert report.per_class[c].recall == pytest.approx(r)
+                assert report.per_class[c].jaccard == pytest.approx(j)
 
 
 def test_criterion_8_single_scale_reduction():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from msast.cli import main
-from msast.data import load_manifest, load_video, read_feature_file, write_feature_file
+from msast.data import VideoSample, load_manifest, load_video, read_feature_file, write_dataset, \
+    write_feature_file
 from msast.errors import FileFormatError
 from msast.metrics import ribbon_color
 from msast.model import ModelConfig, build_model
@@ -135,6 +137,18 @@ def test_train_non_finite_hyperparameter_exit_2(tmp_path, config, capsys, settin
     assert not (tmp_path / "x.ckpt").exists()
 
 
+@pytest.mark.parametrize("command, setting", [("synth", "nan"), ("synth", "inf"),
+                                              ("train", "alpha_base=inf")])
+def test_non_finite_model_or_synth_value_exit_2(tmp_path, config, capsys, command, setting):
+    out = tmp_path / "out"
+    argv = {"synth": ("synth", "--out", out, "--videos", 2, "--sigma", setting),
+            "train": ("train", "--config", config, "--out", out, "--set", setting)}[command]
+    assert run(*argv) == 2
+    key = {"synth": "noise_sigma", "train": "alpha_base"}[command]
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "train"])
 def test_negative_seed_exit_2(tmp_path, config, capsys, command):
     out = tmp_path / "out"
@@ -212,6 +226,38 @@ def test_eval_report_f1_avg_consistent(tmp_path, dataset, trained):
     assert any(key.startswith("video.") for key in values)
 
 
+# two fixed (pred, gt) pairs over 3 classes, keyed by length; class 2 is absent from b's gt
+REPORT_PAIRS = {
+    12: ([0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 0, 2], [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]),
+    9: ([0, 0, 2, 2, 0, 1, 1, 1, 1], [0, 0, 0, 0, 0, 1, 1, 1, 1]),
+}
+
+
+def test_eval_report_text_pinned(tmp_path, monkeypatch):
+    samples = [VideoSample(vid, np.zeros((T, 4), dtype=np.float32), np.array(REPORT_PAIRS[T][1]))
+               for vid, T in (("a", 12), ("b", 9))]
+    write_dataset(tmp_path / "data", [], samples, {0: "x", 1: "y", 2: "z"})
+    model = build_model(ModelConfig(input_dim=4, num_classes=3, kernels=(3,), layers_per_stage=1,
+                                    feature_maps=4, num_decoders=1), seed=0)
+    save_checkpoint(model, AdamState.init(model), tmp_path / "m.ckpt")
+    monkeypatch.setattr("msast.cli.predict",
+                        lambda model, features: np.array(REPORT_PAIRS[len(features)][0]))
+    report = tmp_path / "r.tsv"
+    assert run("eval", "--ckpt", tmp_path / "m.ckpt", "--data", tmp_path / "data",
+               "--report", report) == 0
+    text = report.read_text()
+    lines = text.splitlines()
+    assert len(lines) == 96  # pooled 27, per-video mean/std 18, video a 27, video b 24
+    assert lines[:9] == ["accuracy\t80.9524", "precision\t78.2011", "recall\t80.5556",
+                         "jaccard\t66.2963", "edit\t55.0000", "f1_avg\t66.6667",
+                         "f1@10\t71.4286", "f1@25\t71.4286", "f1@50\t57.1429"]
+    assert "f1@50_std\t20.8333" in lines and "video.b.f1@50\t33.3333" in lines
+    # b's gt has no class 2, so it gets no per-class row though b predicts it
+    assert "video.b.confusion_0_2\t2" in lines and "video.b.precision_2" not in text
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "302cedd2b1bf7fe3b4a427782057bdebece8e1bca0fa80ee3be4e9eb9af7a9c1"
+
+
 def test_eval_ribbons_written(tmp_path, dataset, trained):
     ribbon_dir = tmp_path / "ribbons"
     assert run("eval", "--ckpt", trained, "--data", dataset,
@@ -246,6 +292,15 @@ def test_eval_ribbon_draws_20_classes(tmp_path):
         assert (pixels == expect[None]).all()  # oracle: the pred band is the gt band
         drawn.update(labels.tolist())
     assert max(drawn) >= 16
+
+
+def test_train_and_eval_read_only_the_split_they_use(tmp_path, config, dataset):
+    os.remove(dataset / "splits" / "test.txt")
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--config", config, "--out", ckpt, "--set", "epochs=1") == 0
+    report = tmp_path / "r.tsv"
+    assert run("eval", "--ckpt", ckpt, "--data", dataset, "--split", "train", "--report", report) == 0
+    assert report.read_text().startswith("accuracy\t")
 
 
 def test_eval_missing_split_exit_2(tmp_path, dataset, trained):
@@ -392,14 +447,17 @@ def _corrupt(blob, case):
         blob[dims_at:dims_at + 12] = struct.pack("<3I", 2 ** 31, 2 ** 31, 4)  # 2**64 wraps int64
     else:
         fields_at = 16 + 4 * int.from_bytes(blob[12:16], "little")  # layers_per_stage, then the rest
-        offset, value = {"feature_maps_100000": (fields_at + 4, 100000), "kernels0_is_4": (16, 4),
-                         "causal_flag_7": (fields_at + 20, 7)}[case]
-        blob[offset:offset + 4] = value.to_bytes(4, "little")
+        offset, value = {"feature_maps_100000": (fields_at + 4, struct.pack("<I", 100000)),
+                         "kernels0_is_4": (16, struct.pack("<I", 4)),
+                         "causal_flag_7": (fields_at + 20, struct.pack("<I", 7)),
+                         "alpha_base_inf": (fields_at + 28, struct.pack("<f", math.inf))}[case]
+        blob[offset:offset + 4] = value
     return bytes(blob)
 
 
 @pytest.mark.parametrize("case", ["non_utf8_name", "dims_product_wraps_to_zero",
-                                  "feature_maps_100000", "kernels0_is_4", "causal_flag_7"])
+                                  "feature_maps_100000", "kernels0_is_4", "causal_flag_7",
+                                  "alpha_base_inf"])
 def test_corrupt_checkpoint_rejected_before_allocation_exit_3(tmp_path, dataset, case):
     model = build_model(ModelConfig(input_dim=5, num_classes=3, kernels=(3, 5), layers_per_stage=2,
                                     feature_maps=8, num_decoders=1, causal=True), seed=0)

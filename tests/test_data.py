@@ -289,7 +289,7 @@ def small_tree(tmp_path):
 def test_dataset_layout_and_loading(small_tree):
     manifest = small_tree
     assert os.path.isdir(os.path.join(manifest.root, "features"))
-    assert len(manifest.train_ids) == 4 and len(manifest.test_ids) == 1
+    assert len(manifest.split_ids("train")) == 4 and len(manifest.split_ids("test")) == 1
     samples = load_split(manifest, "train")
     assert all(s.labels is not None and len(s.labels) == s.features.shape[0] for s in samples)
     reload = load_manifest(manifest.root)
@@ -301,7 +301,7 @@ def test_validate_fresh_dataset_clean(small_tree):
 
 
 def test_validate_detects_truncated_labels(small_tree):
-    victim = small_tree.train_ids[1]
+    victim = small_tree.split_ids("train")[1]
     path = small_tree.label_path(victim)
     with open(path) as fh:
         lines = fh.read().strip().split("\n")
@@ -313,14 +313,14 @@ def test_validate_detects_truncated_labels(small_tree):
 
 
 def test_validate_detects_missing_feature_file(small_tree):
-    victim = small_tree.test_ids[0]
+    victim = small_tree.split_ids("test")[0]
     os.remove(small_tree.feature_path(victim))
     violations = validate_dataset(small_tree)
     assert any(victim in v and "missing feature" in v for v in violations)
 
 
 def test_validate_detects_mixed_dims(small_tree, rng):
-    victim = small_tree.train_ids[0]
+    victim = small_tree.split_ids("train")[0]
     T = len(read_labels(small_tree.label_path(victim),
                         read_feature_file(small_tree.feature_path(victim)).shape[0]))
     write_feature_file(small_tree.feature_path(victim),
@@ -332,7 +332,7 @@ def test_validate_detects_mixed_dims(small_tree, rng):
 @pytest.mark.parametrize("bad_label", [-1, 7])
 def test_out_of_range_label_rejected(small_tree, bad_label):
     assert small_tree.num_classes == 7
-    victim = small_tree.train_ids[2]
+    victim = small_tree.split_ids("train")[2]
     path = small_tree.label_path(victim)
     labels = read_labels(path, read_feature_file(small_tree.feature_path(victim)).shape[0])
     labels[4] = bad_label
@@ -345,7 +345,7 @@ def test_out_of_range_label_rejected(small_tree, bad_label):
 
 
 def test_validate_lists_non_finite_features(small_tree):
-    victim = small_tree.test_ids[0]
+    victim = small_tree.split_ids("test")[0]
     path = small_tree.feature_path(victim)
     with open(path, "rb") as fh:
         blob = bytearray(fh.read())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from msast.errors import DataError
 from msast.metrics import (
+    F1_THRESHOLDS,
     RIBBON_PALETTE,
     EvalReport,
     Segment,
@@ -15,9 +16,7 @@ from msast.metrics import (
     edit_score,
     emit_ribbon,
     evaluate_video,
-    f1_at_overlap,
     f1_avg,
-    frame_metrics,
     ribbon_color,
     segments_from_labels,
 )
@@ -25,6 +24,7 @@ from msast.metrics import (
 from tests.oracles import (
     brute_edit_score,
     brute_f1,
+    brute_f1_counts,
     brute_frame_metrics,
     random_label_pair,
 )
@@ -61,66 +61,59 @@ def test_segments_round_trip(labels):
 # --- frame metrics -------------------------------------------------------------
 
 def test_frame_metrics_perfect():
-    fm = frame_metrics([0, 1, 2, 1], [0, 1, 2, 1])
-    assert fm.accuracy == 100.0
-    assert fm.precision == fm.recall == fm.jaccard == 100.0
+    report = evaluate_video([0, 1, 2, 1], [0, 1, 2, 1], 5)
+    assert report.accuracy == 100.0
+    assert report.precision == report.recall == report.jaccard == 100.0
 
 
 def test_frame_metrics_counting_example():
-    fm = frame_metrics([0, 1, 1, 1], [0, 0, 1, 1])
-    assert fm.accuracy == 75.0
-    assert fm.per_class[0].precision == 100.0
-    assert fm.per_class[0].recall == 50.0
-    assert fm.per_class[0].jaccard == 50.0
-    assert fm.per_class[1].precision == pytest.approx(66.6667, abs=1e-3)
-    assert fm.per_class[1].recall == 100.0
-    assert fm.per_class[1].jaccard == pytest.approx(66.6667, abs=1e-3)
+    report = evaluate_video([0, 1, 1, 1], [0, 0, 1, 1], 5)
+    assert report.accuracy == 75.0
+    assert set(report.per_class) == {0, 1}
+    assert report.per_class[0].precision == 100.0
+    assert report.per_class[0].recall == 50.0
+    assert report.per_class[0].jaccard == 50.0
+    assert report.per_class[1].precision == pytest.approx(66.6667, abs=1e-3)
+    assert report.per_class[1].recall == 100.0
+    assert report.per_class[1].jaccard == pytest.approx(66.6667, abs=1e-3)
 
 
 def test_frame_metrics_all_wrong():
-    fm = frame_metrics([1, 1, 1], [0, 0, 0])
-    assert fm.accuracy == 0.0
+    assert evaluate_video([1, 1, 1], [0, 0, 0], 5).accuracy == 0.0
 
 
 def test_frame_metrics_length_mismatch():
     with pytest.raises(DataError):
-        frame_metrics([0, 1], [0, 1, 2])
+        evaluate_video([0, 1], [0, 1, 2], 5)
 
 
 def test_frame_metrics_empty_rejected():
     with pytest.raises(DataError):
-        frame_metrics([], [])
+        evaluate_video([], [], 5)
 
 
 def test_frame_metrics_matches_direct_counting():
     rng = np.random.default_rng(3)
     for _ in range(50):
         pred, gt = random_label_pair(rng)
-        fm = frame_metrics(pred, gt)
-        acc, per_class = brute_frame_metrics(pred, gt)
-        assert fm.accuracy == pytest.approx(acc)
-        assert set(fm.per_class) == set(per_class)
-        for c, (p, r, j) in per_class.items():
-            assert fm.per_class[c].precision == pytest.approx(p)
-            assert fm.per_class[c].recall == pytest.approx(r)
-            assert fm.per_class[c].jaccard == pytest.approx(j)
-        # the per-video report scores through the same path, so it matches exactly
         report = evaluate_video(pred, gt, 5)
-        assert (report.accuracy, report.precision, report.recall, report.jaccard) == \
-            (fm.accuracy, fm.precision, fm.recall, fm.jaccard)
-        assert report.per_class == fm.per_class
+        acc, per_class = brute_frame_metrics(pred, gt)
+        assert report.accuracy == pytest.approx(acc)
+        assert set(report.per_class) == set(per_class)
+        for c, (p, r, j) in per_class.items():
+            assert report.per_class[c].precision == pytest.approx(p)
+            assert report.per_class[c].recall == pytest.approx(r)
+            assert report.per_class[c].jaccard == pytest.approx(j)
 
 
 def test_accuracy_symmetry_and_precision_recall_duality():
     rng = np.random.default_rng(4)
     for _ in range(30):
         pred, gt = random_label_pair(rng)
-        assert frame_metrics(pred, gt).accuracy == frame_metrics(gt, pred).accuracy
+        forward, backward = evaluate_video(pred, gt, 5), evaluate_video(gt, pred, 5)
+        assert forward.accuracy == backward.accuracy
         for c in set(gt.tolist()) & set(pred.tolist()):
-            p_forward = frame_metrics(pred, gt).per_class.get(c)
-            r_backward = frame_metrics(gt, pred).per_class.get(c)
-            if p_forward and r_backward:
-                assert p_forward.precision == pytest.approx(r_backward.recall)
+            assert forward.per_class[c].precision == pytest.approx(backward.per_class[c].recall)
 
 
 # --- edit score -----------------------------------------------------------------
@@ -159,8 +152,10 @@ def test_edit_matches_brute_force_200_pairs():
 
 def test_f1_perfect_at_all_thresholds():
     seq = [0, 0, 1, 1, 1, 2]
-    for tau in (0.10, 0.25, 0.50):
-        assert f1_at_overlap(seq, seq, tau)[2] == 100.0
+    report = evaluate_video(seq, seq, 5)
+    for t in F1_THRESHOLDS:
+        assert report.f1_counts[t] == (3, 0, 0)
+        assert report.f1_at[t] == 100.0
 
 
 def test_f1_boundary_iou_half_counts_at_50():
@@ -168,9 +163,10 @@ def test_f1_boundary_iou_half_counts_at_50():
     # and stretches C (IoU 10/15). Both match at every threshold.
     gt = [0] * 10 + [2] * 10
     pred = [0] * 5 + [2] * 15
-    for tau in (0.10, 0.25, 0.50):
-        precision, recall, f1 = f1_at_overlap(pred, gt, tau)
-        assert (precision, recall, f1) == (100.0, 100.0, 100.0)
+    report = evaluate_video(pred, gt, 5)
+    for t in F1_THRESHOLDS:
+        assert report.f1_counts[t] == (2, 0, 0)
+        assert report.f1_at[t] == 100.0
 
 
 def test_f1_over_segmentation_penalty():
@@ -179,31 +175,27 @@ def test_f1_over_segmentation_penalty():
     # final B match (2 TP), the rest are FP -> precision 2/6, recall 2/2.
     gt = [0] * 30 + [1] * 10
     pred = [0] * 8 + [1] * 2 + [0] * 8 + [1] * 2 + [0] * 10 + [1] * 10
-    precision, recall, f1 = f1_at_overlap(pred, gt, 0.10)
-    assert precision == pytest.approx(100 / 3, abs=1e-6)
-    assert recall == 100.0
-    assert f1 == pytest.approx(50.0, abs=1e-6)
+    report = evaluate_video(pred, gt, 5)
+    assert report.f1_counts[10] == (2, 4, 0)
+    assert report.f1_at[10] == pytest.approx(50.0, abs=1e-6)
 
 
 def test_f1_matches_brute_force_200_pairs():
     rng = np.random.default_rng(6)
     for _ in range(200):
         pred, gt = random_label_pair(rng)
-        for tau in (0.10, 0.25, 0.50):
-            assert f1_at_overlap(pred, gt, tau) == pytest.approx(brute_f1(pred, gt, tau))
+        report = evaluate_video(pred, gt, 5)
+        for t in F1_THRESHOLDS:
+            assert report.f1_counts[t] == brute_f1_counts(pred, gt, t / 100)
+            assert report.f1_at[t] == brute_f1(pred, gt, t / 100)[2]
 
 
 def test_f1_monotone_in_threshold():
     rng = np.random.default_rng(7)
     for _ in range(50):
         pred, gt = random_label_pair(rng)
-        f_values = [f1_at_overlap(pred, gt, tau)[2] for tau in (0.10, 0.25, 0.50)]
-        assert f_values[0] >= f_values[1] >= f_values[2]
-
-
-def test_f1_threshold_validation():
-    with pytest.raises(DataError):
-        f1_at_overlap([0], [0], 0.0)
+        f1_at = evaluate_video(pred, gt, 5).f1_at
+        assert f1_at[10] >= f1_at[25] >= f1_at[50]
 
 
 # --- f1_avg --------------------------------------------------------------------------
@@ -240,20 +232,6 @@ def test_metrics_invariant_under_relabeling():
 def test_confusion_diagonal_when_perfect():
     cm = confusion_matrix([0, 1, 1, 2], [0, 1, 1, 2], 3)
     assert np.array_equal(cm, np.diag([1, 2, 1]))
-    norm = confusion_matrix([0, 1, 1, 2], [0, 1, 1, 2], 3, normalize=True)
-    assert np.array_equal(norm, np.eye(3))
-
-
-def test_confusion_normalized_rows():
-    norm = confusion_matrix([0, 1], [0, 0], 2, normalize=True)
-    np.testing.assert_allclose(norm[0], [0.5, 0.5])
-
-
-def test_confusion_absent_class_row_zero():
-    norm = confusion_matrix([0, 0], [0, 0], 3, normalize=True)
-    assert np.array_equal(norm[1], [0, 0, 0])
-    assert np.array_equal(norm[2], [0, 0, 0])
-    assert not np.isnan(norm).any()
 
 
 def test_confusion_row_sums_are_gt_counts():
