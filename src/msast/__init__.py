@@ -13,7 +13,6 @@ from .data import (
     load_manifest,
     load_split,
     read_feature_file,
-    validate_dataset,
     write_dataset,
     write_feature_file,
 )

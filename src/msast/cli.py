@@ -85,9 +85,11 @@ def _echo(title: str, values: dict):
     sys.stdout.flush()
 
 
-def _require_file(path, what: str):
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} not found: {path}")
+def _require_output_dir(path):
+    """Refuse an output path whose directory does not exist, before any work."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise OSError(f"{directory}: output directory not found")
 
 
 def cmd_synth(args) -> int:
@@ -112,7 +114,6 @@ def cmd_synth(args) -> int:
 
 
 def _resolve_train_config(args) -> dict:
-    _require_file(args.config, "config file")
     values = read_run_config(args.config)
     _apply_overrides(values, args.set)
     explicit_decoders = "num_decoders" in values
@@ -127,10 +128,8 @@ def _resolve_train_config(args) -> dict:
 
 
 def cmd_train(args) -> int:
+    _require_output_dir(args.out)
     values = _resolve_train_config(args)
-    _require_file(values["data_root"], "data_root")
-    _require_file(os.path.join(values["data_root"], "mapping.txt"), "mapping file")
-    _require_file(os.path.join(values["data_root"], "splits", "train.txt"), "train split")
     manifest = dio.load_manifest(values["data_root"])
     train_set = dio.load_split(manifest, "train")
     if not train_set:
@@ -159,25 +158,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model_checked(ckpt_path):
-    _require_file(ckpt_path, "checkpoint")
-    return load_checkpoint(ckpt_path)[0]
-
-
 def cmd_eval(args) -> int:
-    model = _load_model_checked(args.ckpt)
-    _require_file(args.data, "data directory")
-    _require_file(os.path.join(args.data, "mapping.txt"), "mapping file")
-    _require_file(os.path.join(args.data, "splits", f"{args.split}.txt"), f"{args.split} split")
+    _require_output_dir(args.report)
+    model = load_checkpoint(args.ckpt)[0]
     manifest = dio.load_manifest(args.data)
     if manifest.num_classes != model.cfg.num_classes:
         raise ShapeError(f"class count mismatch: checkpoint expects {model.cfg.num_classes}, "
                          f"dataset has {manifest.num_classes}")
-    _echo("eval config", {"ckpt": args.ckpt, "data": args.data, "split": args.split,
-                          "report": args.report, "ribbon": args.ribbon, "oracle": args.oracle})
     video_ids = sorted(manifest.split_ids(args.split))
     if not video_ids:
         raise DataError(f"split {args.split!r} lists no videos")
+    _echo("eval config", {"ckpt": args.ckpt, "data": args.data, "split": args.split,
+                          "report": args.report, "ribbon": args.ribbon, "oracle": args.oracle})
     reports = []
     if args.ribbon:
         os.makedirs(args.ribbon, exist_ok=True)
@@ -217,10 +209,10 @@ def _read_video(path, model) -> np.ndarray:
 
 
 def cmd_predict(args) -> int:
-    model = _load_model_checked(args.ckpt)
-    _require_file(args.features, "feature file")
-    _echo("predict config", {"ckpt": args.ckpt, "features": args.features, "out": args.out})
+    _require_output_dir(args.out)
+    model = load_checkpoint(args.ckpt)[0]
     features = _read_video(args.features, model)
+    _echo("predict config", {"ckpt": args.ckpt, "features": args.features, "out": args.out})
     labels = predict(model, features)
     dio.write_labels(args.out, labels)
     print(f"wrote {len(labels)} predictions to {args.out}")
@@ -228,12 +220,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    model = _load_model_checked(args.ckpt)
+    model = load_checkpoint(args.ckpt)[0]
     if not model.cfg.causal:
         raise ModeError("streaming requires a causal model")
-    _require_file(args.features, "feature file")
-    _echo("stream config", {"ckpt": args.ckpt, "features": args.features, "out": args.out})
     features = _read_video(args.features, model)
+    _echo("stream config", {"ckpt": args.ckpt, "features": args.features, "out": args.out})
     state = StreamState()
     seconds = []
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -10,8 +10,9 @@ On-disk layout:
 Feature files: 8-byte ASCII magic, u32 LE frame count T, u32 LE dim D,
 then T*D float32 LE values frame-major. Round-trips are bit-exact.
 
-`_Reader` is the one parser of binary input (feature files here, checkpoints
-in `training`); its errors name the file, the field and the byte offset.
+`_Reader` opens and is the one parser of binary input (feature files here,
+checkpoints in `training`); its errors name the file, the field and the byte
+offset. Every reader reports a missing input file as `ConfigError`.
 """
 
 import math
@@ -55,15 +56,30 @@ class DatasetManifest:
         return read_split(os.path.join(self.root, "splits", f"{split}.txt"))
 
 
-class _Reader:
-    """Bounds-checked cursor over an open binary file: each field is checked
-    against the bytes left before anything is allocated for it, and again
-    against the bytes actually read (the file may shrink meanwhile)."""
+def _open_input(path, mode: str, **kwargs):
+    """`open` for reading, with a missing file reported as ConfigError."""
+    try:
+        return open(path, mode, **kwargs)
+    except FileNotFoundError:
+        raise ConfigError(f"{path}: not found") from None
 
-    def __init__(self, fh):
-        self.fh = fh
-        self.size = os.fstat(fh.fileno()).st_size
+
+class _Reader:
+    """Bounds-checked cursor over a binary file, which it opens and, as a
+    context manager, closes: each field is checked against the bytes left
+    before anything is allocated for it, and again against the bytes actually
+    read (the file may shrink meanwhile)."""
+
+    def __init__(self, path):
+        self.fh = _open_input(path, "rb")
+        self.size = os.fstat(self.fh.fileno()).st_size
         self.pos = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
 
     def error(self, message: str) -> FileFormatError:
         return FileFormatError(f"{self.fh.name}: {message}")
@@ -116,8 +132,7 @@ def write_feature_file(path, features: np.ndarray):
 
 
 def read_feature_file(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        r = _Reader(fh)
+    with _Reader(path) as r:
         r.magic(FEATURE_MAGIC)
         T, D = r.unpack("<II", "header")
         at = r.pos
@@ -133,7 +148,7 @@ def read_text_lines(path, error=DataError) -> list[tuple[int, str]]:
     """(line number, stripped line) for each non-blank line of a UTF-8 text
     file; bytes that do not decode raise `error`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open_input(path, "r", encoding="utf-8") as fh:
             lines = [line.strip() for line in fh]
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -304,7 +319,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[VideoSample], list[VideoS
             else np.zeros((T, cfg.feature_dim))
         features = (means[labels] + noise).astype(np.float32)
         videos.append(VideoSample(id=f"video_{i:03d}", features=features, labels=labels))
-    n_train = max(1, int(cfg.num_videos * 0.8)) if cfg.num_videos > 1 else 1
+    n_train = max(1, int(cfg.num_videos * 0.8))
     mapping = {c: f"phase_{c}" for c in range(cfg.num_classes)}
     return videos[:n_train], videos[n_train:], mapping
 
@@ -327,37 +342,3 @@ def write_dataset(root, train: list[VideoSample], test: list[VideoSample],
                 fh.write(f"{sample.id}\n")
     return load_manifest(root)
 
-
-def validate_dataset(manifest: DatasetManifest) -> list[str]:
-    """Returns one entry per violation; an empty list means the tree is sound."""
-    violations = []
-    ids = sorted(mapping_id for mapping_id in manifest.mapping)
-    if ids != list(range(len(ids))):
-        violations.append(f"mapping ids not dense 0..{len(ids) - 1}: {ids}")
-    dims = {}
-    for split in ("train", "test"):
-        for vid in manifest.split_ids(split):
-            fpath = manifest.feature_path(vid)
-            if not os.path.exists(fpath):
-                violations.append(f"{vid}: missing feature file {fpath}")
-                continue
-            try:
-                features = read_feature_file(fpath)
-            except (FileFormatError, DataError) as exc:
-                violations.append(f"{vid}: unreadable features: {exc}")
-                continue
-            dims[vid] = features.shape[1]
-            lpath = manifest.label_path(vid)
-            if not os.path.exists(lpath):
-                violations.append(f"{vid}: missing label file {lpath}")
-                continue
-            try:
-                check_class_ids(read_labels(lpath, features.shape[0]), manifest.num_classes, lpath)
-            except DataError as exc:
-                violations.append(f"{vid}: {exc}")
-    if dims:
-        common = max(set(dims.values()), key=lambda d: sum(1 for v in dims.values() if v == d))
-        for vid, d in sorted(dims.items()):
-            if d != common:
-                violations.append(f"{vid}: feature dim {d} differs from majority dim {common}")
-    return violations

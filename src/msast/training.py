@@ -291,8 +291,7 @@ def save_checkpoint(model: Model, adam_state: AdamState, path):
 
 
 def load_checkpoint(path) -> tuple[Model, AdamState]:
-    with open(path, "rb") as fh:
-        r = _Reader(fh)
+    with _Reader(path) as r:
         r.magic(CHECKPOINT_MAGIC)
         at = r.pos
         (version,) = r.unpack("<I", "version")

@@ -405,6 +405,16 @@ def test_predict_consistent_with_eval(tmp_path, dataset, trained):
     assert values[f"video.{vid}.accuracy"] == pytest.approx(accuracy, abs=1e-3)
 
 
+def test_train_video_with_other_feature_dim_exit_5(tmp_path, dataset, config, capsys):
+    # the second video: train reads input_dim from the first
+    victim = (dataset / "splits" / "train.txt").read_text().split()[1]
+    path = dataset / "features" / f"{victim}.msfeat"
+    write_feature_file(path, np.zeros((read_feature_file(path).shape[0], 9), dtype=np.float32))
+    assert run("train", "--config", config, "--out", tmp_path / "x.ckpt") == 5
+    assert f"video {victim}: feature dim 9 != model input_dim 5" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def test_train_non_finite_exit_4(tmp_path, dataset):
     # blow up float32 through the attention logits -> numeric abort
     for vid_file in (dataset / "features").iterdir():
@@ -419,6 +429,71 @@ def test_missing_checkpoint_exit_2(tmp_path, dataset):
     feature_file = next((dataset / "features").iterdir())
     assert run("predict", "--ckpt", tmp_path / "nope.ckpt",
                "--features", feature_file, "--out", tmp_path / "o.txt") == 2
+
+
+@pytest.mark.parametrize("command,missing", [
+    ("train", "config"), ("train", "data_root"), ("train", "mapping"), ("train", "split"),
+    ("train", "feature"), ("train", "label"), ("predict", "ckpt"), ("predict", "features"),
+    ("stream", "features"),
+])
+def test_missing_input_exit_2_names_it(tmp_path, dataset, config, request, capsys, command, missing):
+    vid = (dataset / "splits" / "train.txt").read_text().split()[0]
+    path = {"config": tmp_path / "nope.cfg", "data_root": tmp_path / "nodata",
+            "mapping": dataset / "mapping.txt", "split": dataset / "splits" / "train.txt",
+            "feature": dataset / "features" / f"{vid}.msfeat",
+            "label": dataset / "labels" / f"{vid}.txt",
+            "ckpt": tmp_path / "nope.ckpt", "features": tmp_path / "nope.msfeat"}[missing]
+    if command == "train":
+        if missing == "config":
+            config = path
+        elif missing == "data_root":
+            config = write_config(tmp_path / "nodata.cfg", path)
+        argv = ["--config", config, "--out", tmp_path / "x.ckpt"]
+    else:
+        ckpt = path if missing == "ckpt" else \
+            request.getfixturevalue("causal_trained" if command == "stream" else "trained")
+        features = path if missing == "features" else dataset / "features" / f"{vid}.msfeat"
+        argv = ["--ckpt", ckpt, "--features", features, "--out", tmp_path / "o.txt"]
+    if path.exists():
+        os.remove(path)
+    capsys.readouterr()
+    assert run(command, *argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--ckpt", "--features"])
+def test_input_path_that_is_a_directory_exit_3(tmp_path, dataset, config, request, flag):
+    feature_file = next((dataset / "features").iterdir())
+    if flag == "--config":
+        argv = ["train", "--config", tmp_path, "--out", tmp_path / "x.ckpt"]
+    elif flag == "--ckpt":
+        argv = ["predict", "--ckpt", tmp_path, "--features", feature_file, "--out", tmp_path / "o.txt"]
+    else:
+        argv = ["predict", "--ckpt", request.getfixturevalue("trained"), "--features", dataset,
+                "--out", tmp_path / "o.txt"]
+    assert run(*argv) == 3
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_output_into_missing_directory_exit_3_before_work(tmp_path, dataset, config, request, capsys,
+                                                          command):
+    out = tmp_path / "nodir" / "out"
+    if command == "train":
+        argv = ["--config", config, "--out", out]
+    else:
+        ckpt = request.getfixturevalue("trained")
+        argv = {"eval": ["--ckpt", ckpt, "--data", dataset, "--report", out,
+                         "--ribbon", tmp_path / "rib"],
+                "predict": ["--ckpt", ckpt, "--features", next((dataset / "features").iterdir()),
+                            "--out", out]}[command]
+    capsys.readouterr()
+    assert run(command, *argv) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == ""  # no resolved config: nothing was loaded, trained or predicted
+    assert str(tmp_path / "nodir") in err
+    assert not (tmp_path / "rib").exists()
 
 
 def _entries(blob):

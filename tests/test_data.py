@@ -18,7 +18,6 @@ from msast.data import (
     read_mapping,
     read_split,
     read_text_lines,
-    validate_dataset,
     write_dataset,
     write_feature_file,
     write_labels,
@@ -86,8 +85,7 @@ def test_feature_file_shrinking_mid_read_rejected(tmp_path):
     # short (the payload is larger than any read buffer)
     path = tmp_path / "shrinks.msfeat"
     write_feature_file(path, np.zeros((1 << 18, 2), dtype=np.float32))
-    with open(path, "rb") as fh:
-        r = _Reader(fh)
+    with _Reader(path) as r:
         r.magic(FEATURE_MAGIC)
         T, D = r.unpack("<II", "header")
         os.truncate(path, 100)
@@ -276,7 +274,7 @@ def test_synth_config_validation():
 
 
 
-# --- dataset tree + validation ----------------------------------------------------------
+# --- dataset tree ----------------------------------------------------------
 
 @pytest.fixture
 def small_tree(tmp_path):
@@ -296,39 +294,6 @@ def test_dataset_layout_and_loading(small_tree):
     assert reload.mapping == manifest.mapping
 
 
-def test_validate_fresh_dataset_clean(small_tree):
-    assert validate_dataset(small_tree) == []
-
-
-def test_validate_detects_truncated_labels(small_tree):
-    victim = small_tree.split_ids("train")[1]
-    path = small_tree.label_path(victim)
-    with open(path) as fh:
-        lines = fh.read().strip().split("\n")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines[:-3]) + "\n")
-    violations = validate_dataset(small_tree)
-    assert len(violations) == 1
-    assert victim in violations[0]
-
-
-def test_validate_detects_missing_feature_file(small_tree):
-    victim = small_tree.split_ids("test")[0]
-    os.remove(small_tree.feature_path(victim))
-    violations = validate_dataset(small_tree)
-    assert any(victim in v and "missing feature" in v for v in violations)
-
-
-def test_validate_detects_mixed_dims(small_tree, rng):
-    victim = small_tree.split_ids("train")[0]
-    T = len(read_labels(small_tree.label_path(victim),
-                        read_feature_file(small_tree.feature_path(victim)).shape[0]))
-    write_feature_file(small_tree.feature_path(victim),
-                       rng.normal(size=(T, 9)).astype(np.float32))
-    violations = validate_dataset(small_tree)
-    assert any(victim in v and "dim" in v for v in violations)
-
-
 @pytest.mark.parametrize("bad_label", [-1, 7])
 def test_out_of_range_label_rejected(small_tree, bad_label):
     assert small_tree.num_classes == 7
@@ -339,19 +304,4 @@ def test_out_of_range_label_rejected(small_tree, bad_label):
     write_labels(path, labels)
     with pytest.raises(DataError, match=rf"class id {bad_label} at frame 4 out of range"):
         load_video(small_tree, victim)
-    violations = validate_dataset(small_tree)
-    assert len(violations) == 1
-    assert victim in violations[0] and "out of range" in violations[0]
 
-
-def test_validate_lists_non_finite_features(small_tree):
-    victim = small_tree.split_ids("test")[0]
-    path = small_tree.feature_path(victim)
-    with open(path, "rb") as fh:
-        blob = bytearray(fh.read())
-    blob[16:20] = np.array([np.nan], dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
-    violations = validate_dataset(small_tree)
-    assert len(violations) == 1
-    assert victim in violations[0] and "non-finite" in violations[0]
