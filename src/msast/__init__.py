@@ -43,6 +43,7 @@ from .model import (
     StreamState,
     alpha_schedule,
     build_model,
+    check_input,
     forward_full,
     forward_stream,
     multiscale_fuse,

@@ -16,13 +16,19 @@ import numpy as np
 from . import data as dio
 from . import metrics as mx
 from .errors import ConfigError, DataError, FileFormatError, ModeError, NumericError, ShapeError
-from .model import ModelConfig, StreamState, build_model, forward_stream, labels_from_logits, predict
+from .model import (ModelConfig, StreamState, build_model, check_input, forward_stream,
+                    labels_from_logits, predict)
 from .training import AdamState, TrainConfig, load_checkpoint, save_checkpoint, train
 
 MODEL_KEYS = tuple(field.name for field in dataclasses.fields(ModelConfig))
 TRAIN_KEYS = ("epochs", "learning_rate", "smooth_tau", "smooth_lambda", "seed")
 _HINTS = ModelConfig.__annotations__ | TrainConfig.__annotations__
 KEY_TYPES = {key: _HINTS[key] for key in MODEL_KEYS + TRAIN_KEYS} | {"data_root": str}
+
+# synth flag -> the SynthConfig field it sets; each flag defaults to its field's default
+SYNTH_FLAGS = {"videos": "num_videos", "classes": "num_classes", "dim": "feature_dim",
+               "seed": "seed", "tmin": "t_min", "tmax": "t_max", "sigma": "noise_sigma",
+               "stay": "self_transition_prob", "skip": "skip_prob"}
 
 # exception class -> exit code; 0 is success
 EXIT_CODES = ((ConfigError, 2), (DataError, 2), (FileFormatError, 3), (OSError, 3),
@@ -93,18 +99,9 @@ def _require_output_dir(path):
 
 
 def cmd_synth(args) -> int:
-    cfg = dio.SynthConfig(
-        num_classes=args.classes, num_videos=args.videos, t_min=args.tmin, t_max=args.tmax,
-        feature_dim=args.dim, noise_sigma=args.sigma, self_transition_prob=args.stay,
-        skip_prob=args.skip, seed=args.seed,
-    )
+    cfg = dio.SynthConfig(**{name: getattr(args, name) for name in SYNTH_FLAGS.values()})
     cfg.validate()
-    _echo("synth config", {
-        "out": args.out, "videos": cfg.num_videos, "classes": cfg.num_classes,
-        "dim": cfg.feature_dim, "t_min": cfg.t_min, "t_max": cfg.t_max,
-        "noise_sigma": cfg.noise_sigma, "self_transition_prob": cfg.self_transition_prob,
-        "skip_prob": cfg.skip_prob, "seed": cfg.seed,
-    })
+    _echo("synth config", dataclasses.asdict(cfg) | {"out": args.out})
     train_set, test_set, mapping = dio.generate_synthetic(cfg)
     manifest = dio.write_dataset(args.out, train_set, test_set, mapping)
     frames = sum(len(s.labels) for s in [*train_set, *test_set])
@@ -132,8 +129,6 @@ def cmd_train(args) -> int:
     values = _resolve_train_config(args)
     manifest = dio.load_manifest(values["data_root"])
     train_set = dio.load_split(manifest, "train")
-    if not train_set:
-        raise DataError("train split is empty")
     values.setdefault("num_classes", manifest.num_classes)
     values.setdefault("input_dim", int(train_set[0].features.shape[1]))
     model_cfg = ModelConfig(**{k: values[k] for k in MODEL_KEYS if k in values})
@@ -165,24 +160,21 @@ def cmd_eval(args) -> int:
     if manifest.num_classes != model.cfg.num_classes:
         raise ShapeError(f"class count mismatch: checkpoint expects {model.cfg.num_classes}, "
                          f"dataset has {manifest.num_classes}")
-    video_ids = sorted(manifest.split_ids(args.split))
-    if not video_ids:
-        raise DataError(f"split {args.split!r} lists no videos")
+    samples = sorted(dio.load_split(manifest, args.split), key=lambda sample: sample.id)
+    for sample in samples:
+        check_input(model.cfg, sample.features, what=f"video {sample.id}")
     _echo("eval config", {"ckpt": args.ckpt, "data": args.data, "split": args.split,
                           "report": args.report, "ribbon": args.ribbon, "oracle": args.oracle})
     reports = []
     if args.ribbon:
         os.makedirs(args.ribbon, exist_ok=True)
-    for vid in video_ids:
-        sample = dio.load_video(manifest, vid)
-        if sample.features.shape[1] != model.cfg.input_dim:
-            raise ShapeError(f"feature dim mismatch for {vid}: checkpoint expects "
-                             f"{model.cfg.input_dim}, found {sample.features.shape[1]}")
+    for sample in samples:
         pred = sample.labels.copy() if args.oracle else predict(model, sample.features)
-        reports.append(mx.evaluate_video(pred, sample.labels, manifest.num_classes, video_id=vid))
+        reports.append(mx.evaluate_video(pred, sample.labels, manifest.num_classes,
+                                         video_id=sample.id))
         if args.ribbon:
             mx.emit_ribbon([("pred", pred), ("gt", sample.labels)],
-                           os.path.join(args.ribbon, f"{vid}.ppm"))
+                           os.path.join(args.ribbon, f"{sample.id}.ppm"))
     overall = mx.aggregate(reports, mode="overall")
     per_video = mx.aggregate(reports, mode="per_video")
     lines = mx.report_lines(overall)
@@ -197,21 +189,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _read_video(path, model) -> np.ndarray:
-    """One video's features, checked against the model before any output is written."""
-    features = dio.read_feature_file(path)
-    if features.shape[1] != model.cfg.input_dim:
-        raise ShapeError(f"feature dim mismatch: checkpoint expects {model.cfg.input_dim}, "
-                         f"found {features.shape[1]}")
-    if features.shape[0] == 0:
-        raise ShapeError(f"{path}: feature file holds no frames")
-    return features
-
-
 def cmd_predict(args) -> int:
     _require_output_dir(args.out)
     model = load_checkpoint(args.ckpt)[0]
-    features = _read_video(args.features, model)
+    features = dio.read_feature_file(args.features)
+    check_input(model.cfg, features, what=args.features)
     _echo("predict config", {"ckpt": args.ckpt, "features": args.features, "out": args.out})
     labels = predict(model, features)
     dio.write_labels(args.out, labels)
@@ -223,7 +205,8 @@ def cmd_stream(args) -> int:
     model = load_checkpoint(args.ckpt)[0]
     if not model.cfg.causal:
         raise ModeError("streaming requires a causal model")
-    features = _read_video(args.features, model)
+    features = dio.read_feature_file(args.features)
+    check_input(model.cfg, features, what=args.features)
     _echo("stream config", {"ckpt": args.ckpt, "features": args.features, "out": args.out})
     state = StreamState()
     seconds = []
@@ -249,15 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic phase dataset")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--videos", type=int, default=50)
-    p.add_argument("--classes", type=int, default=7)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tmin", type=int, default=200)
-    p.add_argument("--tmax", type=int, default=400)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--stay", type=float, default=0.97, help="self-transition probability")
-    p.add_argument("--skip", type=float, default=0.1, help="phase-skip probability on advance")
+    fields = {field.name: field for field in dataclasses.fields(dio.SynthConfig)}
+    for flag, name in SYNTH_FLAGS.items():
+        p.add_argument(f"--{flag}", dest=name, type=fields[name].type,
+                       default=fields[name].default, help="default %(default)s")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train an offline (default) or causal model")

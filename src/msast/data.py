@@ -222,7 +222,11 @@ def load_video(manifest: DatasetManifest, video_id: str) -> VideoSample:
 
 
 def load_split(manifest: DatasetManifest, split: str) -> list[VideoSample]:
-    return [load_video(manifest, vid) for vid in manifest.split_ids(split)]
+    """Every video the split lists, in file order; an empty split is a DataError."""
+    video_ids = manifest.split_ids(split)
+    if not video_ids:
+        raise DataError(f"split {split!r} lists no videos")
+    return [load_video(manifest, vid) for vid in video_ids]
 
 
 @dataclass(frozen=True)
@@ -262,24 +266,17 @@ class SynthConfig:
 
 
 def _class_means(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
-    """Gaussian class centers with pairwise distance >= 4 sigma.
-
-    Draws unit-scale centers, rejecting degenerate draws; if the minimum
-    pairwise distance still falls short (small feature_dim or large sigma)
-    the centers are scaled up just enough to meet the guarantee.
-    """
+    """Gaussian class centers with pairwise distance >= 4 sigma: one unit-scale
+    draw, scaled up just enough if its closest pair falls short (small
+    feature_dim or large sigma)."""
     required = max(4.0 * cfg.noise_sigma, 1e-6)
-    for _ in range(200):
-        means = rng.normal(0.0, 1.0, size=(cfg.num_classes, cfg.feature_dim))
-        dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
-        dists[np.diag_indices(cfg.num_classes)] = np.inf
-        closest = dists.min()
-        if closest <= 0.0:
-            continue
-        if closest < required:
-            means *= 1.001 * required / closest
-        return means
-    raise ConfigError(f"could not draw {cfg.num_classes} distinct class means")
+    means = rng.normal(0.0, 1.0, size=(cfg.num_classes, cfg.feature_dim))
+    dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
+    dists[np.diag_indices(cfg.num_classes)] = np.inf
+    closest = dists.min()
+    if closest < required:
+        means *= 1.001 * required / closest
+    return means
 
 
 def _phase_labels(rng: np.random.Generator, cfg: SynthConfig, T: int) -> np.ndarray:
@@ -294,12 +291,6 @@ def _phase_labels(rng: np.random.Generator, cfg: SynthConfig, T: int) -> np.ndar
             step = 2 if rng.random() < cfg.skip_prob else 1
             state = min(state + step, last)
     return labels
-
-
-def synthetic_class_means(cfg: SynthConfig) -> np.ndarray:
-    """The class centers generate_synthetic(cfg) will use (num_classes, feature_dim)."""
-    cfg.validate()
-    return _class_means(np.random.default_rng(cfg.seed), cfg)
 
 
 def generate_synthetic(cfg: SynthConfig) -> tuple[list[VideoSample], list[VideoSample], dict[int, str]]:

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import numerics as nx
 from .attention import WindowSpec, sliding_window_attention, window_schedule
+from .data import check_class_ids
 from .errors import ConfigError, ModeError, ShapeError
 from .numerics import Parameter, Tensor, no_grad
 
@@ -351,6 +352,26 @@ def _forward(model: Model, features: np.ndarray, rng, caches=None) -> StageOutpu
     return StageOutputs(stages)
 
 
+def check_input(cfg: ModelConfig, features: np.ndarray, labels=None, what="features"):
+    """Raise ShapeError unless `features` is one video a `cfg` model can run:
+    (T, input_dim) with T >= 1, or T >= 2 offline, where temporal norm takes
+    statistics over the whole sequence. Given `labels`, they must be T class
+    ids in [0, num_classes) (DataError for the range). Messages start with
+    `what`, the video id or path. Commands call this before any output.
+    """
+    if np.ndim(features) != 2:
+        raise ShapeError(f"{what}: features shape {np.shape(features)} is not (T, {cfg.input_dim})")
+    T, dim = np.shape(features)
+    if dim != cfg.input_dim:
+        raise ShapeError(f"{what}: feature dim {dim} != model input_dim {cfg.input_dim}")
+    if T < (1 if cfg.causal else 2):
+        raise ShapeError(f"{what}: " + ("no frames" if T == 0 else "1 frame; offline needs 2"))
+    if labels is not None:
+        if np.shape(labels) != (T,):
+            raise ShapeError(f"{what}: labels shape {np.shape(labels)} != ({T},)")
+        check_class_ids(np.asarray(labels), cfg.num_classes, what)
+
+
 def forward_full(model: Model, features: np.ndarray, mode: str = "infer",
                  rng=None) -> StageOutputs:
     """Run all stages over a full feature sequence.
@@ -362,11 +383,7 @@ def forward_full(model: Model, features: np.ndarray, mode: str = "infer",
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     cfg = model.cfg
     features = np.asarray(features)
-    if features.ndim != 2 or features.shape[1] != cfg.input_dim:
-        raise ShapeError(f"features shape {features.shape} does not match input_dim {cfg.input_dim}")
-    T = features.shape[0]
-    if T < 1 or (not cfg.causal and T < 2):
-        raise ShapeError(f"sequence too short for this model: T={T}, causal={cfg.causal}")
+    check_input(cfg, features)
     if mode == "train":
         if cfg.dropout > 0 and rng is None:
             raise ConfigError("training forward with dropout > 0 needs an rng")

@@ -16,8 +16,8 @@ import numpy as np
 from . import numerics as nx
 from .data import _Reader, check_class_ids
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .model import (Model, ModelConfig, StageOutputs, assemble_model, forward_full,
-                    labels_from_logits)
+from .model import (Model, ModelConfig, StageOutputs, assemble_model, check_input,
+                    forward_full, labels_from_logits)
 from .numerics import Parameter, Tensor, _accumulate, _tracked, _tracking
 
 LOG_PROB_FLOOR = float(np.log(1e-8))
@@ -192,10 +192,7 @@ def train(model: Model, dataset, cfg: TrainConfig, adam_state: AdamState | None 
     if not dataset:
         raise DataError("training set is empty")
     for sample in dataset:
-        if sample.features.shape[1] != model.cfg.input_dim:
-            raise ShapeError(
-                f"video {sample.id}: feature dim {sample.features.shape[1]} "
-                f"!= model input_dim {model.cfg.input_dim}")
+        check_input(model.cfg, sample.features, sample.labels, what=f"video {sample.id}")
     if adam_state is None:
         adam_state = AdamState.init(model)
     params = model.parameters()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from msast.cli import main
-from msast.data import VideoSample, load_manifest, load_video, read_feature_file, write_dataset, \
-    write_feature_file
+from msast.data import SynthConfig, VideoSample, load_manifest, load_video, read_feature_file, \
+    write_dataset, write_feature_file
 from msast.errors import FileFormatError
 from msast.metrics import ribbon_color
 from msast.model import ModelConfig, build_model
@@ -69,6 +70,15 @@ def test_synth_default_classes_is_seven(tmp_path):
 
 def test_synth_zero_videos_usage_error(tmp_path):
     assert run("synth", "--out", tmp_path / "d", "--videos", 0) == 2
+
+
+def test_synth_flag_defaults_are_synth_config_defaults(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert run("synth", "--out", out) == 0
+    resolved = dict(line.strip().split(" = ") for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("  "))
+    expected = {key: str(value) for key, value in dataclasses.asdict(SynthConfig()).items()}
+    assert resolved == expected | {"out": str(out)}
 
 
 # --- train ----------------------------------------------------------------------
@@ -329,6 +339,36 @@ def test_eval_dim_mismatch_exit_5(tmp_path, dataset, trained):
                "--report", tmp_path / "r.tsv") == 5
 
 
+def test_eval_last_video_dim_mismatch_exit_5_before_output(tmp_path, dataset, trained, capsys):
+    # every earlier video is fine: nothing may be predicted, echoed or written
+    victim = sorted((dataset / "splits" / "test.txt").read_text().split())[-1]
+    path = dataset / "features" / f"{victim}.msfeat"
+    write_feature_file(path, np.zeros((read_feature_file(path).shape[0], 9), dtype=np.float32))
+    capsys.readouterr()
+    report, ribbons = tmp_path / "r.tsv", tmp_path / "rib"
+    assert run("eval", "--ckpt", trained, "--data", dataset, "--report", report,
+               "--ribbon", ribbons) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"video {victim}: feature dim 9 != model input_dim 5" in err
+    assert not report.exists() and not ribbons.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_empty_split_exit_2(tmp_path, dataset, config, request, capsys, command):
+    if command == "train":
+        split, argv = "train", ("--config", config, "--out", tmp_path / "x.ckpt")
+    else:
+        split, argv = "test", ("--ckpt", request.getfixturevalue("trained"), "--data", dataset,
+                               "--report", tmp_path / "r.tsv")
+    (dataset / "splits" / f"{split}.txt").write_text("")
+    capsys.readouterr()
+    assert run(command, *argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"split '{split}' lists no videos" in err
+
+
 # --- predict / stream -----------------------------------------------------------------
 
 def test_predict_line_count_and_determinism(tmp_path, dataset, trained):
@@ -368,6 +408,21 @@ def test_zero_frame_features_exit_5_before_output(tmp_path, causal_trained, comm
     out = tmp_path / "o.txt"
     assert run(command, "--ckpt", causal_trained, "--features", empty, "--out", out) == 5
     assert "no frames" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,frames,dim", [("predict", 1, 5), ("stream", 10, 9)])
+def test_unrunnable_features_exit_5_before_output(tmp_path, request, capsys, command, frames, dim):
+    # an offline model needs 2 frames; either model needs input_dim columns
+    ckpt = request.getfixturevalue("causal_trained" if command == "stream" else "trained")
+    bad = tmp_path / "bad.msfeat"
+    write_feature_file(bad, np.zeros((frames, dim), dtype=np.float32))
+    out = tmp_path / "o.txt"
+    capsys.readouterr()
+    assert run(command, "--ckpt", ckpt, "--features", bad, "--out", out) == 5
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith(f"error: {bad}: ")
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ import pytest
 from msast.data import (
     FEATURE_MAGIC,
     _Reader,
+    _class_means,
     SynthConfig,
     generate_synthetic,
     load_manifest,
@@ -236,11 +237,9 @@ def test_synth_labels_nondecreasing_with_bounded_steps():
 
 @pytest.mark.parametrize("dim,sigma", [(16, 1.0), (3, 2.0), (64, 1.0)])
 def test_synth_class_separation_at_least_4_sigma(dim, sigma):
-    from msast.data import synthetic_class_means
-
     cfg = SynthConfig(num_videos=1, t_min=10, t_max=10, feature_dim=dim,
                       noise_sigma=sigma, seed=5)
-    means = synthetic_class_means(cfg)
+    means = _class_means(np.random.default_rng(cfg.seed), cfg)
     d = np.linalg.norm(means[:, None] - means[None], axis=-1)
     d[np.diag_indices(len(means))] = np.inf
     assert d.min() >= 4.0 * sigma
@@ -249,9 +248,7 @@ def test_synth_class_separation_at_least_4_sigma(dim, sigma):
 def test_synth_means_match_sigma_zero_features():
     cfg = SynthConfig(num_videos=1, t_min=20, t_max=20, feature_dim=8,
                       noise_sigma=0.0, self_transition_prob=0.5, seed=4)
-    from msast.data import synthetic_class_means
-
-    means = synthetic_class_means(cfg).astype(np.float32)
+    means = _class_means(np.random.default_rng(cfg.seed), cfg).astype(np.float32)
     train, test, _ = generate_synthetic(cfg)
     for sample in train + test:
         assert np.array_equal(sample.features, means[sample.labels])

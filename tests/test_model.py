@@ -9,6 +9,7 @@ from msast.model import (
     alpha_schedule,
     block_forward,
     build_model,
+    check_input,
     forward_full,
     forward_stream,
     multiscale_fuse,
@@ -221,6 +222,20 @@ def test_forward_rejects_wrong_dim(rng):
     model = tiny_model()
     with pytest.raises(ShapeError):
         forward_full(model, rng.normal(size=(10, 5)))
+
+
+def test_forward_rejects_too_few_frames(rng):
+    with pytest.raises(ShapeError, match="features: 1 frame"):
+        forward_full(tiny_model(), rng.normal(size=(1, 4)))
+    with pytest.raises(ShapeError, match="features: no frames"):
+        forward_full(tiny_model(causal=True), np.zeros((0, 4)))
+
+
+def test_check_input_labels_must_match_frames():
+    cfg = tiny_model().cfg
+    check_input(cfg, np.zeros((5, 4)), np.zeros(5, dtype=np.int64), what="video v")
+    with pytest.raises(ShapeError, match=r"video v: labels shape \(4,\) != \(5,\)"):
+        check_input(cfg, np.zeros((5, 4)), np.zeros(4, dtype=np.int64), what="video v")
 
 
 def test_forward_acausal_needs_two_frames(rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from msast.data import SynthConfig, VideoSample, generate_synthetic
-from msast.errors import DataError, FileFormatError, NumericError
+from msast.errors import DataError, FileFormatError, NumericError, ShapeError
 from msast.model import ModelConfig, StageOutputs, build_model, forward_full, predict
 from msast.numerics import Parameter, as_tensor
 from msast.training import (
@@ -259,6 +259,32 @@ def test_train_rejects_empty_and_mismatched_data():
                       labels=np.zeros(10, dtype=np.int64))
     with pytest.raises(Exception):
         train(model, [bad], TrainConfig(epochs=1))
+
+
+def _train_state_bytes(model, state):
+    return ([p.data.tobytes() for p in model.parameters()],
+            [a.tobytes() for a in (*state.m.values(), *state.v.values())], state.step)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("defect", ["one_frame", "label_out_of_range"])
+def test_train_rejects_bad_sample_before_any_step(seed, defect):
+    # the bad video lands at a different place in each seed's shuffle; no
+    # video shuffled ahead of it may move the model or the Adam moments
+    model = _toy_model()
+    state = AdamState.init(model)
+    dataset = _toy_dataset(videos=5, T=20)
+    bad = dataset[2]
+    if defect == "one_frame":
+        dataset[2] = VideoSample(bad.id, bad.features[:1], bad.labels[:1])
+        error = ShapeError
+    else:
+        dataset[2] = VideoSample(bad.id, bad.features, np.where(bad.labels == 0, 3, bad.labels))
+        error = DataError
+    before = _train_state_bytes(model, state)
+    with pytest.raises(error, match=f"video {bad.id}: "):
+        train(model, dataset, TrainConfig(epochs=1, seed=seed), state)
+    assert _train_state_bytes(model, state) == before
 
 
 # --- checkpoints --------------------------------------------------------------------------
