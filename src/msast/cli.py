@@ -133,11 +133,14 @@ def cmd_train(args) -> int:
     values.setdefault("input_dim", int(train_set[0].features.shape[1]))
     model_cfg = ModelConfig(**{k: values[k] for k in MODEL_KEYS if k in values})
     train_cfg = TrainConfig(**{k: values[k] for k in TRAIN_KEYS if k in values})
+    model_cfg.validate()
+    train_cfg.validate()
+    for sample in train_set:
+        check_input(model_cfg, sample.features, sample.labels, what=f"video {sample.id}")
     resolved = dict(values, out=args.out)
     resolved.update((k, getattr(model_cfg, k)) for k in MODEL_KEYS)
     resolved.update((k, getattr(train_cfg, k)) for k in TRAIN_KEYS)
     _echo("train config", resolved)
-    train_cfg.validate()
     model = build_model(model_cfg, seed=train_cfg.seed)
     adam_state = AdamState.init(model)
     history = train(model, train_set, train_cfg, adam_state)

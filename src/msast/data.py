@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ConfigError, DataError, FileFormatError
 
 FEATURE_MAGIC = b"MSFEAT01"
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass
@@ -57,11 +58,14 @@ class DatasetManifest:
 
 
 def _open_input(path, mode: str, **kwargs):
-    """`open` for reading, with a missing file reported as ConfigError."""
+    """`open` for reading, with a missing file or a path that no file can have
+    (an embedded NUL byte) reported as ConfigError."""
     try:
         return open(path, mode, **kwargs)
     except FileNotFoundError:
         raise ConfigError(f"{path}: not found") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path!r}: invalid path ({exc})") from None
 
 
 class _Reader:
@@ -72,7 +76,8 @@ class _Reader:
 
     def __init__(self, path):
         self.fh = _open_input(path, "rb")
-        self.size = os.fstat(self.fh.fileno()).st_size
+        self.stat = os.fstat(self.fh.fileno())
+        self.size = self.stat.st_size
         self.pos = 0
 
     def __enter__(self):
@@ -112,6 +117,12 @@ class _Reader:
         self._check(n, self.fh.readinto(values), field)
         self.pos += n
         return values
+
+    def skip(self, n: int, field: str):
+        """Seek over the next n bytes, which must lie within the file."""
+        self._check(n, self.size - self.pos, field)
+        self.fh.seek(n, os.SEEK_CUR)
+        self.pos += n
 
     def end(self):
         if self.pos != self.size:
@@ -162,6 +173,8 @@ def read_labels(path, T_expected: int) -> np.ndarray:
             labels.append(int(line))
         except ValueError:
             raise DataError(f"{path}: non-integer label {line!r} on line {lineno}") from None
+        if not _INT64.min <= labels[-1] <= _INT64.max:
+            raise DataError(f"{path}: label {line!r} on line {lineno} does not fit in int64")
     if len(labels) != T_expected:
         raise DataError(f"{path}: expected {T_expected} labels, found {len(labels)}")
     return np.asarray(labels, dtype=np.int64)

@@ -136,15 +136,16 @@ class StageOutputs:
 
 
 class _RowQueue:
-    """The newest `keep` rows of a stream, contiguous in a fixed buffer.
-
-    Rows shift to the front once per keep // 4 + 1 pushes rather than on
-    every push. Untouched buffer pages cost no resident memory.
+    """The newest `keep` rows of a stream, contiguous in a buffer that grows
+    with use: it doubles until it would pass `keep` rows, then takes its full
+    keep + keep // 4 + 1 rows. From then on rows shift to the front once per
+    keep // 4 + 1 pushes rather than on every push.
     """
 
     def __init__(self, keep: int, width: int, dtype):
         self.keep = keep
-        self.rows = np.zeros((keep + keep // 4 + 1, width), dtype=dtype)
+        self.capacity = keep + keep // 4 + 1
+        self.rows = np.zeros((1, width), dtype=dtype)
         self.end = 0
 
     def push(self, new: np.ndarray) -> np.ndarray:
@@ -152,8 +153,13 @@ class _RowQueue:
         older rows | new] as one view."""
         if self.end + len(new) > len(self.rows):
             live = min(self.end, self.keep)
-            self.rows[:live] = self.rows[self.end - live:self.end]
-            self.end = live
+            rows = self.rows
+            if len(rows) < self.capacity:
+                size = max(2 * len(rows), live + len(new))
+                rows = np.zeros((self.capacity if size > self.keep else size, rows.shape[1]),
+                                dtype=rows.dtype)
+            rows[:live] = self.rows[self.end - live:self.end]
+            self.rows, self.end = rows, live
         self.rows[self.end:self.end + len(new)] = new
         self.end += len(new)
         return self.rows[max(0, self.end - len(new) - self.keep):self.end]

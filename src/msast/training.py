@@ -7,6 +7,8 @@ size 1 video, shuffled per epoch by one seeded generator that also drives
 dropout, so a (seed, data, config) triple fixes every parameter byte.
 """
 
+import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -121,19 +123,43 @@ def total_loss(stages: StageOutputs, labels: np.ndarray, cfg: TrainConfig) -> Te
     return total
 
 
-@dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step: int = 0
+    """Adam's first (m) and second (v) moments by parameter name, and the
+    step count. A state from `load_checkpoint` reads m and v from its file on
+    first access to either, so inference never holds them."""
+
+    def __init__(self, m: dict[str, np.ndarray], v: dict[str, np.ndarray], step: int = 0):
+        self._moments = (m, v)
+        self.step = step
 
     @classmethod
     def init(cls, model: Model) -> "AdamState":
+        """Zero moments, allocated so that their pages cost nothing until written."""
         params = model.parameters()
         return cls(
-            m={p.name: np.zeros_like(p.data) for p in params},
-            v={p.name: np.zeros_like(p.data) for p in params},
+            m={p.name: np.zeros(p.data.shape, p.data.dtype) for p in params},
+            v={p.name: np.zeros(p.data.shape, p.data.dtype) for p in params},
         )
+
+    @classmethod
+    def read_later(cls, read_moments, step: int) -> "AdamState":
+        """A state whose moments come from `read_moments()` on first access."""
+        state = cls({}, {}, step)
+        state._moments = read_moments
+        return state
+
+    def _loaded(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        if callable(self._moments):
+            self._moments = self._moments()
+        return self._moments
+
+    @property
+    def m(self) -> dict[str, np.ndarray]:
+        return self._loaded()[0]
+
+    @property
+    def v(self) -> dict[str, np.ndarray]:
+        return self._loaded()[1]
 
 
 def adam_step(params: list[Parameter], state: AdamState, lr: float,
@@ -235,7 +261,8 @@ def train(model: Model, dataset, cfg: TrainConfig, adam_state: AdamState | None 
 # All integers little-endian; arrays row-major. Writer and loader share each
 # struct format. The writer streams each field and entry to the file as it
 # packs it. The loader reads through data._Reader and checks each entry's
-# name and dims against the header's config before it sizes it.
+# name and dims against the header's config before it sizes it. It seeks
+# over the moment values; AdamState reads them on first access.
 
 CHECKPOINT_MAGIC = b"MSASTCK1"
 CHECKPOINT_VERSION = 1
@@ -250,8 +277,9 @@ def _write_array(fh, name: str, arr: np.ndarray):
     fh.write(np.asarray(arr, dtype="<f4", order="C").data)  # no copy of a float32 LE array
 
 
-def _read_entry(r: _Reader, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The next array entry, which must be `name` with dims `shape`."""
+def _read_entry(r: _Reader, name: str, shape: tuple[int, ...], skip: bool = False):
+    """The next array entry, which must be `name` with dims `shape`; with
+    `skip`, its values are seeked over and None is returned."""
     at = r.pos
     (name_length,) = r.unpack("<H", "name length")
     raw_name = r.take(name_length, "name")
@@ -261,7 +289,22 @@ def _read_entry(r: _Reader, name: str, shape: tuple[int, ...]) -> np.ndarray:
     dims = r.unpack(f"<{rank}I", f"dims of {name}")
     if dims != shape:
         raise r.error(f"parameter {name!r} at offset {at} has shape {dims}, config implies {shape}")
+    if skip:
+        r.skip(4 * math.prod(shape), f"values of {name}")
+        return None
     return r.floats(shape, f"values of {name}")
+
+
+def _read_moments(r: _Reader, params: list[Parameter], skip: bool = False):
+    """The Adam m and v sections, each a count and one entry per parameter."""
+    sections = ({}, {})
+    for section in sections:
+        (count,) = r.unpack("<I", "moment count")
+        if count != len(params):
+            raise r.error(f"moment section has {count} entries, expected {len(params)}")
+        for p in params:
+            section[p.name] = _read_entry(r, p.name, p.data.shape, skip)
+    return sections
 
 
 def save_checkpoint(model: Model, adam_state: AdamState, path):
@@ -271,6 +314,7 @@ def save_checkpoint(model: Model, adam_state: AdamState, path):
     no copy of the file in memory."""
     cfg = model.cfg
     params = model.parameters()
+    moments = (adam_state.m, adam_state.v)  # read before `path`, their source, is truncated
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -280,14 +324,21 @@ def save_checkpoint(model: Model, adam_state: AdamState, path):
         fh.write(struct.pack("<I", len(params)))
         for p in params:
             _write_array(fh, p.name, p.data)
-        for section in (adam_state.m, adam_state.v):
+        for section in moments:
             fh.write(struct.pack("<I", len(params)))
             for p in params:
                 _write_array(fh, p.name, section[p.name])
         fh.write(struct.pack("<Q", adam_state.step))
 
 
+def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
 def load_checkpoint(path) -> tuple[Model, AdamState]:
+    """The model and its Adam state. Every entry's name and dims are checked
+    now, but only the parameters are read: the returned state reads its
+    moments on first use, from the same file, which must not have changed."""
     with _Reader(path) as r:
         r.magic(CHECKPOINT_MAGIC)
         at = r.pos
@@ -313,13 +364,19 @@ def load_checkpoint(path) -> tuple[Model, AdamState]:
         params = model.parameters()
         if n_params != len(params):
             raise r.error(f"checkpoint has {n_params} parameters, config implies {len(params)}")
-        state = AdamState(m={}, v={})
-        for section in (state.m, state.v):
-            (count,) = r.unpack("<I", "moment count")
-            if count != n_params:
-                raise r.error(f"moment section has {count} entries, expected {n_params}")
-            for p in params:
-                section[p.name] = _read_entry(r, p.name, p.data.shape)
-        (state.step,) = r.unpack("<Q", "step counter")
+        moments_at = r.pos
+        _read_moments(r, params, skip=True)
+        (step,) = r.unpack("<Q", "step counter")
         r.end()
-        return model, state
+        source = os.path.realpath(path)
+        identity = _identity(r.stat)
+
+    def read_moments():
+        with _Reader(source) as again:
+            if _identity(again.stat) != identity:
+                raise again.error("changed since the checkpoint was loaded; "
+                                  "its Adam moments can no longer be read")
+            again.skip(moments_at, "parameters")
+            return _read_moments(again, params)
+
+    return model, AdamState.read_later(read_moments, step)

@@ -518,6 +518,35 @@ def test_missing_input_exit_2_names_it(tmp_path, dataset, config, request, capsy
     assert str(path) in err
 
 
+@pytest.mark.parametrize("where", ["features", "split"])
+def test_input_path_with_nul_byte_exit_2_names_it(tmp_path, dataset, trained, capsys, where):
+    bad = "vid\x00eo"
+    if where == "features":
+        argv = ["predict", "--ckpt", trained, "--features", tmp_path / bad, "--out", tmp_path / "o.txt"]
+        named = repr(str(tmp_path / bad))
+    else:
+        (dataset / "splits" / "test.txt").write_text(f"{bad}\n")
+        argv = ["eval", "--ckpt", trained, "--data", dataset, "--report", tmp_path / "r.tsv"]
+        named = repr(str(dataset / "features" / f"{bad}.msfeat"))
+    capsys.readouterr()
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {named}: invalid path")
+
+
+def test_train_short_video_exit_5_before_output(tmp_path, dataset, config, capsys):
+    victim = (dataset / "splits" / "train.txt").read_text().split()[-1]
+    write_feature_file(dataset / "features" / f"{victim}.msfeat", np.zeros((1, 5), dtype=np.float32))
+    (dataset / "labels" / f"{victim}.txt").write_text("0\n")
+    capsys.readouterr()
+    assert run("train", "--config", config, "--out", tmp_path / "x.ckpt") == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: video {victim}: 1 frame; offline needs 2\n"
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 @pytest.mark.parametrize("flag", ["--config", "--ckpt", "--features"])
 def test_input_path_that_is_a_directory_exit_3(tmp_path, dataset, config, request, flag):
     feature_file = next((dataset / "features").iterdir())

@@ -140,6 +140,28 @@ def test_read_labels_non_integer(tmp_path):
         read_labels(path, 3)
 
 
+@pytest.mark.parametrize("value", ["99999999999999999999999", "-9223372036854775809"])
+def test_read_labels_outside_int64_names_file_and_line(tmp_path, value):
+    path = tmp_path / "l.txt"
+    path.write_text(f"0\n{value}\n1\n")
+    with pytest.raises(DataError, match=f"{path}: label '{value}' on line 2 does not fit in int64"):
+        read_labels(path, 3)
+    path.write_text("9223372036854775807\n-9223372036854775808\n")
+    assert read_labels(path, 2).tolist() == [2 ** 63 - 1, -2 ** 63]
+
+
+def test_reader_skip_is_bounds_checked(tmp_path):
+    path = tmp_path / "b.bin"
+    path.write_bytes(bytes(range(10)))
+    with _Reader(path) as r:
+        r.skip(4, "gap")
+        assert r.take(2, "next") == bytes([4, 5])
+        with pytest.raises(FileFormatError, match="truncated: tail needs 5 bytes at offset 6, 4 left"):
+            r.skip(5, "tail")
+        r.skip(4, "tail")
+        r.end()
+
+
 def test_text_lines_skip_blanks_and_keep_file_line_numbers(tmp_path):
     path = tmp_path / "l.txt"
     path.write_text("0\n\n  \n nope \n1\n")

@@ -362,6 +362,19 @@ def test_stream_state_size_is_bounded(rng):
     assert sizes[reach + 1] == sizes[3 * reach]
 
 
+def test_stream_state_grows_with_frames_not_reach(rng):
+    # the conv reach of layer 45, 3 << 44 rows, would not fit in memory
+    model = build_model(ModelConfig(input_dim=4, num_classes=3, kernels=(3, 4), layers_per_stage=45,
+                                    feature_maps=1, num_decoders=1, causal=True), seed=0)
+    state = StreamState()
+    frames = 6
+    for _ in range(frames):
+        assert np.isfinite(forward_stream(model, rng.normal(size=4), state)).all()
+    queues = [q for stage in state.blocks for c in stage for q in (c.inputs, *c.keys, *c.values)]
+    assert len(queues) == 2 * 45 * 5
+    assert state.nbytes <= len(queues) * 2 * frames * 4  # each at most 2x the rows pushed
+
+
 def test_stream_state_counts_frames_and_resets(rng):
     model = tiny_model(causal=True)
     state = StreamState()

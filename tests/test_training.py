@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -344,6 +346,78 @@ def test_checkpoint_save_streams_to_the_file(tmp_path):
         tracemalloc.stop()
     size = path.stat().st_size
     assert peak < 0.1 * size, f"saving a {size / 1e6:.1f} MB checkpoint peaked at {peak / 1e6:.1f} MB"
+
+
+def test_checkpoint_load_reads_only_the_parameters(tmp_path):
+    model = build_model(ModelConfig(input_dim=64, num_classes=7), seed=0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, AdamState.init(model), path)
+    param_bytes = sum(p.data.nbytes for p in model.parameters())
+    del model
+    tracemalloc.start()
+    try:
+        loaded, state = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * param_bytes, \
+        f"loading {param_bytes / 1e6:.1f} MB of parameters peaked at {peak / 1e6:.1f} MB"
+    assert state.step == 0
+
+
+def _moments_filled(seed=0):
+    model, state = _fresh(seed=seed)
+    rng = np.random.default_rng(seed)
+    for section in (state.m, state.v):
+        for value in section.values():
+            value[...] = rng.normal(size=value.shape)
+    state.step = 5
+    return model, state
+
+
+def test_checkpoint_moments_read_on_first_use(tmp_path):
+    model, state = _moments_filled(seed=2)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, state, path)
+    _, loaded = load_checkpoint(path)
+    assert loaded.step == 5
+    for saved, read in ((state.m, loaded.m), (state.v, loaded.v)):
+        assert list(read) == [p.name for p in model.parameters()]
+        for name, value in saved.items():
+            assert read[name].dtype == np.float32
+            np.testing.assert_array_equal(read[name], value)
+    assert loaded.m is loaded.m  # read once, then kept
+
+
+def test_checkpoint_resaved_to_its_own_path_is_identical(tmp_path):
+    model, state = _moments_filled(seed=3)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, state, path)
+    before = path.read_bytes()
+    loaded_model, loaded_state = load_checkpoint(path)
+    save_checkpoint(loaded_model, loaded_state, path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("change", ["rewritten", "replaced", "truncated"])
+def test_checkpoint_changed_after_load_rejected_on_moment_access(tmp_path, change):
+    model, state = _moments_filled(seed=4)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, state, path)
+    _, loaded = load_checkpoint(path)
+    other, other_state = _moments_filled(seed=5)
+    if change == "rewritten":  # same size, same inode
+        save_checkpoint(other, other_state, path)
+    elif change == "replaced":
+        save_checkpoint(other, other_state, tmp_path / "new.ckpt")
+        os.replace(tmp_path / "new.ckpt", path)
+    else:
+        os.truncate(path, path.stat().st_size - 8)
+    for _ in range(2):
+        with pytest.raises(FileFormatError, match=re.escape(
+                f"{os.path.realpath(path)}: changed since the checkpoint was loaded")):
+            loaded.v
+    assert loaded.step == 5
 
 
 def test_checkpoint_config_round_trip(tmp_path):
