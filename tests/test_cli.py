@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from msast import cli
 from msast.cli import main
 from msast.data import SynthConfig, VideoSample, load_manifest, load_video, read_feature_file, \
     write_dataset, write_feature_file
@@ -166,6 +167,21 @@ def test_negative_seed_exit_2(tmp_path, config, capsys, command):
             "train": ("train", "--config", config, "--out", out, "--set", "seed=-1")}[command]
     assert run(*argv) == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_model_too_big_for_memory_exit_2_before_allocation(tmp_path, dataset, capsys,
+                                                                monkeypatch):
+    def allocate(*args, **kwargs):
+        raise AssertionError("the model was allocated")
+
+    monkeypatch.setattr(cli, "build_model", allocate)
+    config = write_config(tmp_path / "big.cfg", dataset, feature_maps=99999999)
+    out = tmp_path / "x.ckpt"
+    assert run("train", "--config", config, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "GiB of physical memory" in captured.err
     assert not out.exists()
 
 

@@ -3,14 +3,22 @@ array buffers to it).
 
 A tape node keeps only the arrays its backward reads, so an activation no
 backward reads is freed once the forward drops it, and one that a re-former
-rebuilds from what the tape keeps anyway (a concat, a norm output, or a
-matmul output through its GEMM) is not kept at all. Backward consumes the
-tape as it runs, so it needs little memory beyond what the forward pass left
-and keeps almost nothing once done; attention keeps O(T) floats for
-backward, not its Q, K and V or its O(T x window) probabilities.
+rebuilds from what the tape keeps anyway (a concat, a norm output, a fused
+branch sum, or a matmul output through its GEMM) is not kept at all. A ReLU
+keeps its mask as packed bits and a norm keeps its input. Backward consumes
+the tape as it runs, so it needs little memory beyond what the forward pass
+left and keeps almost nothing once done; attention keeps O(T) floats for
+backward, not its Q, K and V or its O(T x window) probabilities. One step of
+the default offline model at T=6000, Adam update included, peaks at about
+525 MB resident (646 MB while the tape kept fused sums, boolean ReLU masks
+and layer-1 V); `test_full_length_train_step_fits` holds it there.
 """
 
 import collections
+import json
+import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -50,10 +58,11 @@ def traced():
 def test_forward_tape_keeps_only_what_backward_reads(traced):
     graph = train_graph()  # noqa: F841 (the tape lives while it is held)
     tape = tracemalloc.get_traced_memory()[0]
-    # measured 6.38 MB; 9.96 MB while attention kept its Q, K and V, 13.59 MB
-    # while the tape also kept norm outputs, decoder concats and float dropout
-    # masks, 21.9 MB when every node held its output
-    assert tape <= 6.7e6, f"forward tape holds {tape / 1e6:.2f} MB"
+    # measured 4.91 MB; 6.38 MB while the tape kept fused sums, boolean ReLU
+    # masks and layer-1 V, 9.96 MB while attention kept its Q, K and V,
+    # 13.59 MB while the tape also kept norm outputs, decoder concats and
+    # float dropout masks, 21.9 MB when every node held its output
+    assert tape <= 5.16e6, f"forward tape holds {tape / 1e6:.2f} MB"
 
 
 def test_unread_activation_is_freed_with_its_tensor():
@@ -76,9 +85,10 @@ def test_backward_needs_no_memory_beyond_the_forward_tape(traced):
     tracemalloc.reset_peak()
     loss.backward()
     left, peak = tracemalloc.get_traced_memory()
-    # measured 7.16 MB over a 6.38 MB tape: backward re-forms one attention
-    # call's Q, K and V at a time (10.34 MB over 9.96 MB while the tape kept them)
-    assert peak <= 7.5e6, f"backward peak {peak / 1e6:.2f} MB over a {forward / 1e6:.2f} MB tape"
+    # measured 5.82 MB over a 4.91 MB tape: backward re-forms one attention
+    # call's Q, K and V at a time (7.16 MB over 6.38 MB while the tape kept
+    # fused sums, and 10.34 MB over 9.96 MB while it kept Q, K and V)
+    assert peak <= 6.2e6, f"backward peak {peak / 1e6:.2f} MB over a {forward / 1e6:.2f} MB tape"
     # what remains: the parameters with their grads, the stage logits the
     # caller still holds, and a fixed allowance (measured 0.12 MB) for the
     # model's structure and the interpreter's free lists
@@ -169,3 +179,107 @@ def test_attention_tape_keeps_no_query_key_or_value(monkeypatch):
     assert all(ref() is None for _, _, ref in values), "the tape keeps a Q, K or V"
     for node, forward, _ in values:
         assert node._reform().tobytes() == forward
+
+
+def test_fused_branch_sum_is_re_formed_not_kept(monkeypatch):
+    made, fuse = [], mdl.multiscale_fuse  # every multiscale_fuse output
+
+    def record(*args):
+        made.append(fuse(*args))
+        return made[-1]
+
+    monkeypatch.setattr(mdl, "multiscale_fuse", record)
+    _, stages, loss = train_graph(T=50)
+    monkeypatch.undo()
+    assert len(made) == (1 + TINY.num_decoders) * TINY.layers_per_stage
+    ids = {id(t.data) for t in made}
+    assert [op for buf, _, op in tape_arrays(loss) if id(buf) in ids] == []
+
+    values = [(t._node, t.data.tobytes(), weakref.ref(t.data)) for t in made]
+    del made[:]
+    assert stages.logits[-1]._parents, "the graph is alive"
+    assert all(ref() is None for _, _, ref in values), "the tape keeps a fused sum"
+    for node, forward, _ in values:
+        assert node._reform().tobytes() == forward
+
+
+def test_relu_keeps_one_bit_per_element(monkeypatch):
+    made, relu = [], nx.relu  # (node, input size) of every relu
+
+    def record(x):
+        out = relu(x)
+        made.append((out._node, x.data.size))
+        return out
+
+    monkeypatch.setattr(nx, "relu", record)
+    train_graph(T=50)
+    monkeypatch.undo()
+    assert len(made) == (1 + TINY.num_decoders) * TINY.layers_per_stage * len(TINY.kernels)
+    for node, size in made:
+        kept = [cell.cell_contents for cell in node._backward.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)]
+        assert sum(a.nbytes for a in kept) <= math.ceil(size / 8)
+
+
+def test_layer_one_tape_keeps_no_value(monkeypatch):
+    made = []  # (v, output) of every width-1 attention call
+
+    def record(q, k, v, spec):
+        out = sliding_window_attention(q, k, v, spec)
+        if spec.window_size == 1:
+            made.append((v, out))
+        return out
+
+    monkeypatch.setattr(mdl, "sliding_window_attention", record)
+    _, stages, loss = train_graph(T=50)
+    monkeypatch.undo()
+    assert len(made) == (1 + TINY.num_decoders) * len(TINY.kernels)
+    ids = {id(v.data) for v, _ in made}
+    assert [op for buf, _, op in tape_arrays(loss) if id(buf) in ids] == []
+
+    # the output is a view of V, so V's buffer outlives both
+    values = [(t._node, t.data.tobytes(), weakref.ref(v.data)) for v, out in made for t in (v, out)]
+    del made[:]
+    assert stages.logits[-1]._parents, "the graph is alive"
+    assert all(ref() is None for _, _, ref in values), "the tape keeps a layer-1 V"
+    for node, forward, _ in values:
+        assert node._reform().tobytes() == forward
+
+
+_FULL_LENGTH_STEP = """
+import json, resource
+import numpy as np
+from msast.model import ModelConfig, build_model, forward_full
+from msast.training import AdamState, TrainConfig, adam_step, total_loss
+model = build_model(ModelConfig(input_dim=64, num_classes=7), seed=0)
+rng = np.random.default_rng(0)
+feats = rng.normal(size=(6000, 64)).astype(np.float32)
+labels = rng.integers(0, 7, size=6000)
+loss = total_loss(forward_full(model, feats, mode="train", rng=rng), labels, TrainConfig())
+loss.backward()
+no_grad = [p.name for p in model.parameters() if p.grad is None]
+adam_step(model.parameters(), AdamState.init(model), 1e-4)
+print(json.dumps({"loss": loss.item(), "no_grad": no_grad,
+                  "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
+def test_full_length_train_step_fits():
+    """One default offline train step on a Cholec80-length video (T=6000,
+    about 1.7 hours at 1 fps), Adam included, in a fresh process whose own
+    peak resident size is the measure."""
+    src = os.path.dirname(os.path.dirname(mdl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _FULL_LENGTH_STEP], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert math.isfinite(result["loss"])
+    layer_one = {f"{stage}.b0.k{k}.{w}" for stage in ("enc", "dec1", "dec2", "dec3")
+                 for k in (3, 5, 17) for w in ("wq", "wk")}
+    assert set(result["no_grad"]) == layer_one  # width-1 attention reads neither
+    # measured 525 MB (2 vCPUs, numpy 2.4 on OpenBLAS); 646 MB while the tape
+    # kept fused sums, boolean ReLU masks and layer-1 V
+    peak = result["peak_kb"] / 1024
+    assert peak <= 577, f"a T=6000 train step peaked at {peak:.0f} MB"

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from msast import training
 from msast.data import SynthConfig, VideoSample, generate_synthetic
 from msast.errors import DataError, FileFormatError, NumericError, ShapeError
 from msast.model import ModelConfig, StageOutputs, build_model, forward_full, predict
@@ -319,19 +320,45 @@ def test_checkpoint_preserves_forward_exactly(tmp_path, rng):
     assert np.array_equal(before, after)
 
 
-@pytest.mark.parametrize("cfg, digest", [
-    (ModelConfig(input_dim=8, num_classes=4, kernels=(3, 5), layers_per_stage=3, feature_maps=8,
-                 num_decoders=2),
-     "a4781c064f395379e8d15a3df17c0dcc4997b818c38a16312ea830ad68372d77"),
-    (ModelConfig(input_dim=8, num_classes=4, kernels=(3, 5), layers_per_stage=3, feature_maps=8,
-                 num_decoders=1, causal=True, dropout=0.25, alpha_base=3.0),
-     "454f3f8ee4d9ddcbb9682a204ea22648f18c53092b38167e6f67dda77654fab9"),
+PINNED = {
+    "offline": ModelConfig(input_dim=8, num_classes=4, kernels=(3, 5), layers_per_stage=3,
+                           feature_maps=8, num_decoders=2),
+    "causal": ModelConfig(input_dim=8, num_classes=4, kernels=(3, 5), layers_per_stage=3,
+                          feature_maps=8, num_decoders=1, causal=True, dropout=0.25,
+                          alpha_base=3.0),
+}
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("offline", "a4781c064f395379e8d15a3df17c0dcc4997b818c38a16312ea830ad68372d77"),
+    ("causal", "454f3f8ee4d9ddcbb9682a204ea22648f18c53092b38167e6f67dda77654fab9"),
 ], ids=["offline", "causal"])
-def test_checkpoint_bytes_are_pinned(tmp_path, cfg, digest):
-    model = build_model(cfg, 7)
+def test_checkpoint_bytes_are_pinned(tmp_path, name, digest):
+    model = build_model(PINNED[name], 7)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, AdamState.init(model), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("offline", "6e0dba34bd497df447faef0359f1f7046166cebff98ad9805feacc771040806c"),
+    ("causal", "13cee342c10e2f88494743d6c43494371666cc168e62ce7777d479065acde9aa"),
+], ids=["offline", "causal"])
+def test_train_step_gradient_bytes_are_pinned(name, digest):
+    """One forward, loss and backward at T=50: the loss and every gradient,
+    in layout order, are bit-identical to the tape they were pinned on."""
+    cfg = PINNED[name]
+    model = build_model(cfg, 7)
+    rng = np.random.default_rng(11)
+    feats = rng.normal(size=(50, cfg.input_dim)).astype(np.float32)
+    labels = rng.integers(0, cfg.num_classes, size=50)
+    loss = total_loss(forward_full(model, feats, mode="train", rng=np.random.default_rng(12)),
+                      labels, TrainConfig())
+    loss.backward()
+    h = hashlib.sha256(loss.data.tobytes())
+    for p in model.parameters():
+        h.update(p.name.encode() + (b"-" if p.grad is None else p.grad.tobytes()))
+    assert h.hexdigest() == digest
 
 
 def test_checkpoint_save_streams_to_the_file(tmp_path):
@@ -481,6 +508,23 @@ def test_checkpoint_shape_disagreement_rejected(tmp_path):
     blob[offset:offset + 4] = (12).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
     with pytest.raises(FileFormatError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_model_too_big_for_memory_rejected_before_any_entry(tmp_path, monkeypatch):
+    model, state = _fresh()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, state, path)
+    blob = bytearray(path.read_bytes())
+    offset = 8 + 4 + 4 + 8 + 4  # feature_maps, as above
+    blob[offset:offset + 4] = (99999999).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+
+    def sized(*args, **kwargs):
+        raise AssertionError("an entry was sized")
+
+    monkeypatch.setattr(training, "_read_entry", sized)
+    with pytest.raises(FileFormatError, match="GiB of physical memory"):
         load_checkpoint(path)
 
 
