@@ -35,7 +35,8 @@ class _Node:
     A node may also hold a re-former: a zero-argument function that rebuilds
     the node's forward value from arrays the tape keeps anyway, with the
     forward's own operations in the forward's order, so the rebuilt value is
-    bit-identical; a matmul output runs its GEMM again on the same operands.
+    bit-identical; a matmul output runs its GEMM again on the same operands,
+    and a conv output its tap loop on the same input and weights.
     A consumer whose closure reads the value keeps the node instead
     (`_saved`); backward rebuilds the value at most once, on first read
     (`value`), and drops it when the node is released. Re-formers read
@@ -126,7 +127,7 @@ class Tensor:
         A node keeps its adjoint, its closure and its inputs' nodes; the
         arrays its closure and re-former captured are the only activations
         held for backward (one default offline train step, Adam included,
-        peaks at 216 MB resident at T=2000 and 525 MB at T=6000). Each
+        peaks at 185 MB resident at T=2000 and 339 MB at T=6000). Each
         non-leaf node is released as soon as its closure has run: its grad,
         closure, parent links, re-former and rebuilt value are dropped, so
         those arrays are freed while the sweep goes on, and backward needs
@@ -303,16 +304,18 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0); the tape keeps the mask x > 0 packed to one bit per element."""
+    """max(x, 0). The tape keeps x through `_saved`: in the model x is a conv
+    output, whose node re-forms it. Backward's mask x > 0 and the output's
+    re-former both read that value, which the node rebuilds once."""
     out_data = np.maximum(x.data, 0)
     if not _tracking(x):
         return Tensor(out_data)
-    bits, shape, xn = np.packbits(x.data > 0), x.data.shape, x._node
+    x_saved, xn = _saved(x), x._node
 
     def backward(g):
-        _accumulate(xn, g * np.unpackbits(bits, count=g.size).view(np.bool_).reshape(shape))
+        _accumulate(xn, g * (_value(x_saved) > 0))
 
-    return _tracked(out_data, backward, xn)
+    return _tracked(out_data, backward, xn, reform=lambda: np.maximum(_value(x_saved), 0))
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
@@ -320,7 +323,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 
     The generator turns it on: with no rng (inference) or rate 0 it is the
     exact identity and returns the input tensor itself. The tape keeps the
-    boolean keep-mask and backward rebuilds the scaled mask from it.
+    keep-mask packed to one bit per element, and backward rebuilds the
+    scaled mask from it.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
@@ -331,10 +335,11 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     out_data = x.data * (keep.astype(dtype) / dtype.type(1.0 - rate))
     if not _tracking(x):
         return Tensor(out_data)
-    xn = x._node
+    bits, shape, xn = np.packbits(keep), keep.shape, x._node
 
     def backward(g):
-        _accumulate(xn, g * (keep.astype(dtype) / dtype.type(1.0 - rate)))
+        mask = np.unpackbits(bits, count=g.size).view(np.bool_).reshape(shape)
+        _accumulate(xn, g * (mask.astype(dtype) / dtype.type(1.0 - rate)))
 
     return _tracked(out_data, backward, xn)
 
@@ -359,10 +364,11 @@ def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each channel with mean/variance taken over the full time axis.
 
     Only valid on acausal paths: the statistics read the whole sequence.
-    Population variance; eps fixed at 1e-5. The tape keeps the input and the
-    per-channel mean and 1/std, not `xhat`: the output's re-former and
-    backward rebuild `xhat` with the forward's own operations, once between
-    them (the first to need it builds it, backward drops it).
+    Population variance; eps fixed at 1e-5. The tape keeps the input as
+    `_saved` does (in the model the ReLU's node) and the per-channel mean and
+    1/std, not `xhat`: the output's re-former and backward rebuild `xhat`
+    with the forward's own operations, once between them (the first to need
+    it builds it, backward drops it).
     """
     T, C = x.data.shape
     if T < 2:
@@ -379,12 +385,12 @@ def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     if not _tracking(x, gain, bias):
         return Tensor(out_data)
     gd, bd, xn, gn, bn = gain.data, bias.data, x._node, gain._node, bias._node
-    xhat = None
+    x_saved, xhat = _saved(x), None
 
     def rebuilt():
         nonlocal xhat
         if xhat is None:
-            xhat = xd - mean
+            xhat = _value(x_saved) - mean
             xhat *= inv
         return xhat
 
@@ -426,6 +432,8 @@ def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, mode: str,
 
     `rows` = n computes only the last n output rows (y_{T-n} .. y_{T-1}), as
     a streamed step does over [cached inputs | new inputs]; default all T.
+    The output's re-former runs the same tap loop again on the input and
+    weights that backward keeps for the gradients.
     """
     if x.data.ndim != 2 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"conv shapes incompatible: x {x.data.shape}, w {w.data.shape}")
@@ -440,10 +448,16 @@ def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, mode: str,
         lo, hi = max(0, -o - s), n - max(s, 0)
         if lo < hi:
             taps.append((k, slice(lo + o + s, hi + o + s), slice(lo, hi)))
-    out_data = np.empty((n, wd.shape[2]), dtype=np.result_type(xd, wd, b.data))
-    out_data[:] = b.data
-    for k, src, dst in taps:
-        out_data[dst] += xd[src] @ wd[k]
+    bd = b.data
+
+    def run_taps():
+        out = np.empty((n, wd.shape[2]), dtype=np.result_type(xd, wd, bd))
+        out[:] = bd
+        for k, src, dst in taps:
+            out[dst] += xd[src] @ wd[k]
+        return out
+
+    out_data = run_taps()
     if not _tracking(x, w, b):
         return Tensor(out_data)
     xn, wn, bn = x._node, w._node, b._node
@@ -458,7 +472,7 @@ def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, mode: str,
         _accumulate(wn, dw)
         _accumulate(xn, dx)
 
-    return _tracked(out_data, backward, xn, wn, bn)
+    return _tracked(out_data, backward, xn, wn, bn, reform=run_taps)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:

@@ -134,12 +134,24 @@ class AdamState:
 
     @classmethod
     def init(cls, model: Model) -> "AdamState":
-        """Zero moments, allocated so that their pages cost nothing until written."""
+        """Zero moments in one buffer, m's row then v's, each in layout order
+        with a view per parameter, so that their pages cost nothing until
+        written (many small `np.zeros` would share heap pages that are
+        resident at once)."""
         params = model.parameters()
-        return cls(
-            m={p.name: np.zeros(p.data.shape, p.data.dtype) for p in params},
-            v={p.name: np.zeros(p.data.shape, p.data.dtype) for p in params},
-        )
+        ends = np.cumsum([p.data.size for p in params])
+        # One buffer, not one per moment: glibc raises its mmap threshold to
+        # the size of a freed mapping of up to 32 MB, after which arrays up to
+        # that size come from the heap. The default model's 52 MB is past that
+        # cap and its 26 MB halves are not (offline inference then peaked
+        # 1.3 MB higher).
+        flat = np.zeros((2, ends[-1]), model.dtype)
+
+        def views(row) -> dict[str, np.ndarray]:
+            parts = np.split(row, ends[:-1])
+            return {p.name: part.reshape(p.data.shape) for p, part in zip(params, parts)}
+
+        return cls(m=views(flat[0]), v=views(flat[1]))
 
     @classmethod
     def read_later(cls, read_moments, step: int) -> "AdamState":

@@ -9,13 +9,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msast import cli
+from msast import cli, training
 from msast.cli import main
 from msast.data import SynthConfig, VideoSample, load_manifest, load_video, read_feature_file, \
     write_dataset, write_feature_file
 from msast.errors import FileFormatError
 from msast.metrics import ribbon_color
-from msast.model import ModelConfig, build_model
+from msast.model import ENTRY_BYTES, ModelConfig, build_model
 from msast.training import CHECKPOINT_MAGIC, AdamState, load_checkpoint, save_checkpoint
 
 
@@ -179,6 +179,60 @@ def test_train_model_too_big_for_memory_exit_2_before_allocation(tmp_path, datas
     config = write_config(tmp_path / "big.cfg", dataset, feature_maps=99999999)
     out = tmp_path / "x.ckpt"
     assert run("train", "--config", config, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "GiB of physical memory" in captured.err
+    assert not out.exists()
+
+
+def _entry_bound_layers() -> int:
+    """A layer count at which a causal C=1, kernels (3,), 1-decoder model
+    fits physical memory by the 12 bytes a float32 scalar costs with its
+    Adam moments (22 scalars a layer) but not by the per-entry cost (16
+    entries a layer)."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    layers = have // (16 * ENTRY_BYTES) + 1
+    scalars, entries = ModelConfig(input_dim=5, num_classes=3, kernels=(3,), causal=True,
+                                   num_decoders=1, feature_maps=1,
+                                   layers_per_stage=layers).parameter_count()
+    assert 12 * scalars < have < ENTRY_BYTES * entries
+    return layers
+
+
+def test_train_model_with_too_many_entries_exit_2_before_allocation(tmp_path, dataset, capsys,
+                                                                   monkeypatch):
+    def allocate(*args, **kwargs):
+        raise AssertionError("the model was allocated")
+
+    monkeypatch.setattr(cli, "build_model", allocate)
+    config = write_config(tmp_path / "deep.cfg", dataset, kernels=3, causal="true",
+                          num_decoders=1, feature_maps=1, layers_per_stage=_entry_bound_layers())
+    out = tmp_path / "x.ckpt"
+    assert run("train", "--config", config, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "GiB of physical memory" in captured.err
+    assert not out.exists()
+
+
+def test_checkpoint_with_too_many_entries_exit_3_before_any_entry(tmp_path, dataset, capsys,
+                                                                  monkeypatch):
+    model = build_model(ModelConfig(input_dim=5, num_classes=3, kernels=(3,), causal=True,
+                                    num_decoders=1, feature_maps=1, layers_per_stage=1), seed=0)
+    ckpt = tmp_path / "deep.ckpt"
+    save_checkpoint(model, AdamState.init(model), ckpt)
+    blob = bytearray(ckpt.read_bytes())
+    # layers_per_stage follows magic(8), version(4), kernel count(4) and one kernel(4)
+    blob[20:24] = struct.pack("<I", _entry_bound_layers())
+    ckpt.write_bytes(bytes(blob))
+
+    def read(*args, **kwargs):
+        raise AssertionError("an entry was read")
+
+    monkeypatch.setattr(training, "_read_entry", read)
+    out = tmp_path / "labels.txt"
+    assert run("predict", "--ckpt", ckpt, "--features", dataset / "features" / "video_000.msfeat",
+               "--out", out) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "GiB of physical memory" in captured.err

@@ -4,14 +4,18 @@ array buffers to it).
 A tape node keeps only the arrays its backward reads, so an activation no
 backward reads is freed once the forward drops it, and one that a re-former
 rebuilds from what the tape keeps anyway (a concat, a norm output, a fused
-branch sum, or a matmul output through its GEMM) is not kept at all. A ReLU
-keeps its mask as packed bits and a norm keeps its input. Backward consumes
-the tape as it runs, so it needs little memory beyond what the forward pass
-left and keeps almost nothing once done; attention keeps O(T) floats for
-backward, not its Q, K and V or its O(T x window) probabilities. One step of
-the default offline model at T=6000, Adam update included, peaks at about
-525 MB resident (646 MB while the tape kept fused sums, boolean ReLU masks
-and layer-1 V); `test_full_length_train_step_fits` holds it there.
+branch sum, a matmul output through its GEMM, or a conv output through its
+tap loop) is not kept at all. A ReLU and a norm keep their input's node, so
+a branch's conv -> ReLU -> norm chain keeps only the block input, which the
+conv keeps for its weight gradient; dropout keeps its mask as packed bits.
+Backward consumes the tape as it runs, so it needs little memory beyond
+what the forward pass left and keeps almost nothing once done; attention
+keeps O(T) floats for backward, not its Q, K and V or its O(T x window)
+probabilities. One step of the default offline model at T=6000, Adam update
+included, peaks at about 339 MB resident (525 MB while the tape kept ReLU
+outputs and boolean dropout masks, 646 MB while it also kept fused sums,
+boolean ReLU masks and layer-1 V); `test_full_length_train_step_fits` holds
+it there.
 """
 
 import collections
@@ -58,11 +62,12 @@ def traced():
 def test_forward_tape_keeps_only_what_backward_reads(traced):
     graph = train_graph()  # noqa: F841 (the tape lives while it is held)
     tape = tracemalloc.get_traced_memory()[0]
-    # measured 4.91 MB; 6.38 MB while the tape kept fused sums, boolean ReLU
-    # masks and layer-1 V, 9.96 MB while attention kept its Q, K and V,
-    # 13.59 MB while the tape also kept norm outputs, decoder concats and
-    # float dropout masks, 21.9 MB when every node held its output
-    assert tape <= 5.16e6, f"forward tape holds {tape / 1e6:.2f} MB"
+    # measured 3.17 MB; 4.91 MB while the tape kept ReLU outputs (a norm's
+    # input) and boolean dropout masks, 6.38 MB while it kept fused sums,
+    # boolean ReLU masks and layer-1 V, 9.96 MB while attention kept its Q,
+    # K and V, 13.59 MB while the tape also kept norm outputs, decoder
+    # concats and float dropout masks, 21.9 MB when every node held its output
+    assert tape <= 3.33e6, f"forward tape holds {tape / 1e6:.2f} MB"
 
 
 def test_unread_activation_is_freed_with_its_tensor():
@@ -85,10 +90,12 @@ def test_backward_needs_no_memory_beyond_the_forward_tape(traced):
     tracemalloc.reset_peak()
     loss.backward()
     left, peak = tracemalloc.get_traced_memory()
-    # measured 5.82 MB over a 4.91 MB tape: backward re-forms one attention
-    # call's Q, K and V at a time (7.16 MB over 6.38 MB while the tape kept
-    # fused sums, and 10.34 MB over 9.96 MB while it kept Q, K and V)
-    assert peak <= 6.2e6, f"backward peak {peak / 1e6:.2f} MB over a {forward / 1e6:.2f} MB tape"
+    # measured 4.21 MB over a 3.17 MB tape: backward re-forms one attention
+    # call's Q, K and V at a time, and a branch's conv and ReLU outputs
+    # while it runs the branch (5.82 MB over 4.91 MB while the tape kept
+    # ReLU outputs, 7.16 MB over 6.38 MB while it kept fused sums, and
+    # 10.34 MB over 9.96 MB while it kept Q, K and V)
+    assert peak <= 4.43e6, f"backward peak {peak / 1e6:.2f} MB over a {forward / 1e6:.2f} MB tape"
     # what remains: the parameters with their grads, the stage logits the
     # caller still holds, and a fixed allowance (measured 0.12 MB) for the
     # model's structure and the interpreter's free lists
@@ -146,7 +153,9 @@ def test_decoder_tape_keeps_no_concat_or_norm_output(monkeypatch):
     assert [(op, outputs[id(buf)]) for buf, _, op in kept if id(buf) in outputs] == []
     masks = [buf for buf, _, op in kept if op == "dropout"]
     assert len(masks) == (1 + TINY.num_decoders) * TINY.layers_per_stage
-    assert all(mask.dtype == np.bool_ for mask in masks)
+    # one bit per element of each block's (T, C) projection
+    packed = math.ceil(50 * TINY.feature_maps / 8)
+    assert all(mask.dtype == np.uint8 and mask.nbytes == packed for mask in masks)
 
     values = [(t._node, t.data.tobytes(), weakref.ref(t.data)) for _, t in made]
     del made[:], outputs, kept, masks
@@ -201,6 +210,41 @@ def test_fused_branch_sum_is_re_formed_not_kept(monkeypatch):
     assert all(ref() is None for _, _, ref in values), "the tape keeps a fused sum"
     for node, forward, _ in values:
         assert node._reform().tobytes() == forward
+
+
+def test_conv_and_relu_outputs_are_re_formed_once_not_kept(monkeypatch):
+    made = []  # (op, output) of every conv and relu in the forward
+    for name in ("dilated_conv1d", "relu"):
+        def record(*args, _op=getattr(nx, name)):
+            out = _op(*args)
+            made.append((_op.__name__, out))
+            return out
+        monkeypatch.setattr(nx, name, record)
+    _, stages, loss = train_graph(T=50)
+    monkeypatch.undo()
+    branches = (1 + TINY.num_decoders) * TINY.layers_per_stage * len(TINY.kernels)
+    assert collections.Counter(op for op, _ in made) == {"dilated_conv1d": branches,
+                                                         "relu": branches}
+    ids = {id(t.data) for _, t in made}
+    assert [op for buf, _, op in tape_arrays(loss) if id(buf) in ids] == []
+
+    values = [(t._node, t.data.tobytes(), weakref.ref(t.data)) for _, t in made]
+    del made[:]
+    assert stages.logits[-1]._parents, "the graph is alive"
+    assert all(ref() is None for _, _, ref in values), "the tape keeps a conv or relu output"
+    rebuilt = collections.defaultdict(list)  # node id -> one entry per re-form: bytes equal?
+
+    def counted(node, reform, forward):
+        def run():
+            out = reform()
+            rebuilt[id(node)].append(out.tobytes() == forward)
+            return out
+        return run
+
+    for node, forward, _ in values:
+        node._reform = counted(node, node._reform, forward)
+    loss.backward()
+    assert dict(rebuilt) == {id(node): [True] for node, _, _ in values}
 
 
 def test_relu_keeps_one_bit_per_element(monkeypatch):
@@ -279,7 +323,8 @@ def test_full_length_train_step_fits():
     layer_one = {f"{stage}.b0.k{k}.{w}" for stage in ("enc", "dec1", "dec2", "dec3")
                  for k in (3, 5, 17) for w in ("wq", "wk")}
     assert set(result["no_grad"]) == layer_one  # width-1 attention reads neither
-    # measured 525 MB (2 vCPUs, numpy 2.4 on OpenBLAS); 646 MB while the tape
-    # kept fused sums, boolean ReLU masks and layer-1 V
+    # measured 339 MB (2 vCPUs, numpy 2.4 on OpenBLAS); 525 MB while the tape
+    # kept ReLU outputs and boolean dropout masks, 646 MB while it kept fused
+    # sums, boolean ReLU masks and layer-1 V
     peak = result["peak_kb"] / 1024
-    assert peak <= 577, f"a T=6000 train step peaked at {peak:.0f} MB"
+    assert peak <= 375, f"a T=6000 train step peaked at {peak:.0f} MB"

@@ -2,6 +2,8 @@ import hashlib
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -183,6 +185,49 @@ def test_adam_non_finite_gradient_updates_nothing():
         np.testing.assert_array_equal(state.v[p.name], v)
 
 
+def test_adam_init_moments_are_views_of_one_buffer_in_layout_order():
+    model = _toy_model()
+    params = model.parameters()
+    state = AdamState.init(model)
+    views = [*state.m.values(), *state.v.values()]
+    assert list(state.m) == list(state.v) == [p.name for p in params]
+    base = views[0].base
+    assert all(a.base is base and a.shape == p.data.shape and not a.any()
+               for a, p in zip(views, params * 2))
+    base[...] = np.arange(base.size).reshape(base.shape)
+    assert np.array_equal(np.concatenate([a.ravel() for a in views]), np.arange(base.size))
+
+
+def _python(script: str, **env) -> str:
+    """The stdout of `script`, run in a fresh interpreter on this package."""
+    src = os.path.dirname(os.path.dirname(training.__file__))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_ADAM_INIT = """
+import resource
+from msast.model import ModelConfig, build_model
+from msast.training import AdamState
+model = build_model(ModelConfig(input_dim=64, num_classes=7), seed=0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+state = AdamState.init(model)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_adam_init_moments_cost_no_memory_until_written():
+    """The default offline model's 52 MB of zero moments leave the peak
+    resident size of a fresh process where it was (32 MB more while each
+    parameter's moments were allocated on their own)."""
+    grown_kb = int(_python(_ADAM_INIT))
+    assert grown_kb < 4 * 1024, f"AdamState.init grew the peak resident size by {grown_kb} KB"
+
+
 # --- training loop ---------------------------------------------------------------------
 
 def _toy_dataset(seed=0, videos=2, T=40):
@@ -359,6 +404,34 @@ def test_train_step_gradient_bytes_are_pinned(name, digest):
     for p in model.parameters():
         h.update(p.name.encode() + (b"-" if p.grad is None else p.grad.tobytes()))
     assert h.hexdigest() == digest
+
+
+_STEP_DIGEST = """
+import hashlib
+import numpy as np
+from msast.model import ModelConfig, build_model, forward_full
+from msast.training import TrainConfig, total_loss
+model = build_model(ModelConfig(input_dim=64, num_classes=7), seed=0)
+rng = np.random.default_rng(0)
+feats = rng.normal(size=(300, 64)).astype(np.float32)
+labels = rng.integers(0, 7, size=300)
+loss = total_loss(forward_full(model, feats, mode="train", rng=rng), labels, TrainConfig())
+loss.backward()
+h = hashlib.sha256(loss.data.tobytes())
+for p in model.parameters():
+    h.update(p.name.encode() + (b"-" if p.grad is None else p.grad.tobytes()))
+print(h.hexdigest())
+"""
+
+
+def test_train_step_bytes_do_not_depend_on_blas_threads():
+    """One default offline train step at T=300 gives the same loss and
+    gradient bytes at 1 and 2 OpenBLAS threads, so byte-identical training
+    (criterion 10) holds across such machines for videos of that length.
+    At T=449 and T=2000 it does not: from an inner dimension of 449,
+    OpenBLAS may sum a GEMM in an order that depends on its thread count."""
+    digests = {_python(_STEP_DIGEST, OPENBLAS_NUM_THREADS=str(n)) for n in (1, 2)}
+    assert len(digests) == 1, digests
 
 
 def test_checkpoint_save_streams_to_the_file(tmp_path):
