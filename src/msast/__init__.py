@@ -46,7 +46,6 @@ from .model import (
     check_input,
     forward_full,
     forward_stream,
-    multiscale_fuse,
     predict,
 )
 from .numerics import Parameter, Tensor, no_grad

@@ -9,11 +9,13 @@ scheme of Longformer (Beltagy et al. 2020) with FlashAttention-style query
 tiling (Dao et al. 2022). Each chunk of `_CHUNK` query rows attends with
 dense GEMMs to the key/value slab its window can reach, so memory and work
 are O(T * (chunk + width)), not O(T^2), and a sequence of at most `_CHUNK`
-frames is a single dense chunk. For backward the kernel keeps two floats
-per query row, each row's softmax max and sum, and recomputes a chunk's
-probabilities from them (the FlashAttention backward), so the tape holds
-O(T) floats for attention beyond its output, not O(T * width); a Q, K or V
-that a projection GEMM produced is re-formed through that GEMM in backward.
+frames is a single dense chunk. The kernel returns its branch's fusion
+term, the attention output times the branch's fusion weight and alpha. For
+backward it keeps two floats per query row, each row's softmax max and sum,
+and recomputes a chunk's probabilities from them (the FlashAttention
+backward), and with them the chunk's output, so the tape holds O(T) floats
+for attention, not O(T * width) and not its output; a Q, K or V that a
+projection GEMM produced is re-formed through that GEMM in backward.
 """
 
 import functools
@@ -84,12 +86,17 @@ def _band_extent(T: int, window: int, causal: bool) -> tuple[int, int]:
     return min(half, T - 1), min(half, T - 1)
 
 
-def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec) -> Tensor:
-    """Scaled dot-product attention restricted to a sliding window.
+def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
+                             weight: Tensor | None = None, alpha: float = 1.0) -> Tensor:
+    """Scaled dot-product attention restricted to a sliding window, returned
+    as its branch's fusion term alpha * (weight * attention).
 
-    out_t = sum over admissible t' of softmax(q_t . k_t' / sqrt(C)) v_t'.
+    attention_t = sum over admissible t' of softmax(q_t . k_t' / sqrt(C)) v_t'.
     Causal windows cover [t-w+1, t]; acausal windows are centered, covering
-    |t - t'| <= w // 2.
+    |t - t'| <= w // 2. The term is formed as the fusion forms it: the
+    product with the scalar `weight` (none: the attention itself), then the
+    scale by alpha when alpha != 1. Backward re-forms the attention output
+    rather than keeping it, and gives the weight its gradient.
 
     k and v hold T rows; q may hold only the last n of them, and the output
     is then those n rows (row i is position T - n + i), as a streamed step
@@ -104,15 +111,44 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec) 
     if q.data.ndim != 2 or q.data.shape[1] < 1 or not 1 <= q.data.shape[0] <= k.data.shape[0]:
         raise ShapeError(f"attention needs n x C queries against T >= n keys, "
                          f"got q {q.data.shape}, k {k.data.shape}")
+    if weight is not None and weight.data.shape != ():
+        raise ShapeError(f"attention weight must be a scalar, got shape {weight.data.shape}")
     (n, C), T = q.data.shape, k.data.shape[0]
     o = T - n  # position of query row 0
     vd, vn = v.data, v._node
+    weighted = () if weight is None else (weight,)
+    w_saved, wn = (None, None) if weight is None else (_saved(weight), weight._node)
+    scale = q.data.dtype.type(alpha)
+
+    def term(out):
+        """alpha * (weight * out), in the fusion's order."""
+        if weight is not None:
+            out = weight.data * out
+        return out if alpha == 1.0 else out * scale
+
+    def adjoints(g):
+        """(the adjoint of weight * attention, the attention output's adjoint)."""
+        if alpha != 1.0:
+            g = g * scale
+        return g, (g if w_saved is None else g * _value(w_saved))
+
+    def weight_grad(g, out):
+        """The weight's gradient, reduced as a broadcast product's is."""
+        if wn is not None:
+            _accumulate(wn, np.ascontiguousarray((g * out).sum(axis=(0, 1))).reshape(()))
+
     if spec.window_size == 1:
-        if not _tracking(v):
-            return Tensor(vd[o:])
+        out_data = term(vd[o:])
+        if not _tracking(v, *weighted):
+            return Tensor(out_data)
         v_saved = _saved(v)
-        return _tracked(vd[o:], lambda g: _accumulate(vn, np.pad(g, ((o, 0), (0, 0)))), vn,
-                        reform=lambda: _value(v_saved)[o:])
+
+        def backward_identity(g):
+            g, ga = adjoints(g)
+            _accumulate(vn, np.pad(ga, ((o, 0), (0, 0))))
+            weight_grad(g, _value(v_saved)[o:])
+
+        return _tracked(out_data, backward_identity, vn, wn)
     left, right = _band_extent(T, spec.window_size, spec.causal)
     inv_sqrt = q.data.dtype.type(1.0 / math.sqrt(C))
     kd = k.data
@@ -149,28 +185,31 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec) 
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=1, keepdims=True, out=stats[s:e, 1:])
         np.matmul(probs, vd[a:b], out=out_data[s:e])
-    if not _tracking(q, k, v):
+    out_data = term(out_data)
+    if not _tracking(q, k, v, *weighted):
         return Tensor(out_data)
-    # q, k, v and the bias are rebuilt in backward, so the tape keeps O(n) floats here
+    # q, k, v, the bias and the output are rebuilt in backward, so the tape keeps O(n) floats here
     bias = kd = None
     saved, qn, kn = (_saved(q), _saved(k), _saved(v)), q._node, k._node
 
     def backward(g):
         nonlocal kd
         qd, kd, vd = (_value(t) for t in saved)
-        # sum_j P_ij dP_ij = g_i . out_i, so the softmax backward needs no slab-wide reduction
-        delta = np.einsum("ij,ij->i", g, out_data)[:, None]
+        g, ga = adjoints(g)
         qs = qd * inv_sqrt
-        dq, dk, dv = np.empty_like(qs), np.zeros_like(kd), np.zeros_like(vd)
+        out, dq, dk, dv = np.empty_like(qs), np.empty_like(qs), np.zeros_like(kd), np.zeros_like(vd)
         for s, e, a, b in chunks():
-            # the forward's operations in its order, so probs are bit-identical
+            # the forward's operations in its order, so probs and out are bit-identical
             probs = scores(qs, s, e, a, b)
             probs -= stats[s:e, :1]
             np.exp(probs, out=probs)
             probs /= stats[s:e, 1:]
-            dv[a:b] += probs.T @ g[s:e]
-            ds = g[s:e] @ vd[a:b].T
-            ds -= delta[s:e]
+            np.matmul(probs, vd[a:b], out=out[s:e])
+            # sum_j P_ij dP_ij = g_i . out_i, so the softmax backward needs no slab-wide reduction
+            delta = np.einsum("ij,ij->i", ga[s:e], out[s:e])[:, None]
+            dv[a:b] += probs.T @ ga[s:e]
+            ds = ga[s:e] @ vd[a:b].T
+            ds -= delta
             ds *= probs
             np.matmul(ds, kd[a:b], out=dq[s:e])
             dk[a:b] += ds.T @ qs[s:e]
@@ -178,5 +217,6 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec) 
         _accumulate(qn, dq)
         _accumulate(kn, dk)
         _accumulate(vn, dv)
+        weight_grad(g, out)
 
-    return _tracked(out_data, backward, qn, kn, vn)
+    return _tracked(out_data, backward, qn, kn, vn, wn)

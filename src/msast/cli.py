@@ -205,6 +205,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_stream(args) -> int:
+    _require_output_dir(args.out)
     model = load_checkpoint(args.ckpt)[0]
     if not model.cfg.causal:
         raise ModeError("streaming requires a causal model")

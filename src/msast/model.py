@@ -9,7 +9,11 @@ scale kernel, attends within that scale's window, and fuses the branches:
     fused = h_base + alpha * sum_j mix_j * attn_j
 
 with h_base the kernel-3 branch, mix_j learned scalars, and alpha 1 in the
-encoder and first decoder, then decaying by alpha_base per decoder.
+encoder and first decoder, then decaying by alpha_base per decoder. Each
+attention call returns its branch's term alpha * (mix_j * attn_j), and the
+block adds the terms to h_base in branch order. The tape keeps no attention
+output; the out-projection GEMM keeps the fused sum, one T x C array per
+block.
 
 Causal models use causal convolutions and windows and carry no temporal
 normalization, so logits at time t never depend on frames after t. Each
@@ -33,7 +37,7 @@ from . import numerics as nx
 from .attention import WindowSpec, sliding_window_attention, window_schedule
 from .data import check_class_ids
 from .errors import ConfigError, ModeError, ShapeError
-from .numerics import Parameter, Tensor, _saved, _value, no_grad
+from .numerics import Parameter, Tensor, no_grad
 
 # Python objects per parameter entry beyond its floats, charged by the
 # memory bound: its Parameter, node, name and array header (366 bytes),
@@ -240,38 +244,13 @@ def alpha_schedule(decoder_index: int, alpha_base: float) -> float:
     return float(alpha_base) ** (-(decoder_index - 1))
 
 
-def multiscale_fuse(h_base: Tensor, attn_outs, weights, alpha: float) -> Tensor:
-    """h_base + alpha * sum_j weights[j] * attn_outs[j], elementwise.
-
-    A tracked output's re-former runs this same op chain again on the
-    inputs' values, so the tape does not keep the fused sum."""
-    attn_outs = list(attn_outs)
-    weights = list(weights)
-    if len(attn_outs) != len(weights):
-        raise ShapeError(f"{len(attn_outs)} attention branches but {len(weights)} fusion weights")
-    out = h_base
-    for w_j, a_j in zip(weights, attn_outs):
-        term = nx.mul(w_j, a_j)
-        if alpha != 1.0:
-            term = nx.scale(term, alpha)
-        out = nx.add(out, term)
-    if out is not h_base and out._node is not None:
-        base = _saved(h_base)
-        a_saved, w_saved = [_saved(a) for a in attn_outs], [_saved(w) for w in weights]
-
-        def reform():
-            return multiscale_fuse(Tensor(_value(base)), [Tensor(_value(a)) for a in a_saved],
-                                   [Tensor(_value(w)) for w in w_saved], alpha).data
-        out._node._reform = reform
-    return out
-
-
 def block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer: int,
                   alpha: float, cfg: ModelConfig, rng=None,
                   cache: _BlockCache | None = None) -> Tensor:
     """Encoder block (enc_out None: Q, K, V from the conv branch) or decoder
     block (Q and K read [branch | enc_out], V the branch only). An enc_out
-    not shaped like x raises ShapeError, in layer 1 too, where Q and K are not formed.
+    not shaped like x raises ShapeError, in layer 1 too, where Q and K are not formed,
+    as does a block whose branch count is not the config's kernel count.
     An rng turns dropout on (training); without one the block is deterministic.
 
     With a cache (causal streaming, no tape) x holds only the new rows: the
@@ -279,16 +258,17 @@ def block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer:
     and values after the cached ones, and the cache keeps the newest rows."""
     if enc_out is not None and enc_out.data.shape != x.data.shape:
         raise ShapeError(f"enc_out shape {enc_out.data.shape} does not match block input {x.data.shape}")
+    if len(params.branches) != len(cfg.kernels):
+        raise ShapeError(f"{len(cfg.kernels)} scale kernels but {len(params.branches)} branches")
     dilation = 1 << (layer - 1)
     mode = "causal" if cfg.causal else "symmetric"
     rows = x.data.shape[0]
     src = x if cache is None else nx.as_tensor(cache.inputs.push(x.data))
-    attn_outs = []
-    h_base = None
+    fused = None
     for j, (kernel, br) in enumerate(zip(cfg.kernels, params.branches)):
         h = nx.relu(nx.dilated_conv1d(src, br.conv_w, br.conv_b, dilation, mode, rows))
-        if h_base is None:
-            h_base = h
+        if fused is None:
+            fused = h  # h_base
         n = h if cfg.causal else nx.temporal_norm(h, params.norm_gain, params.norm_bias)
         spec = WindowSpec.from_schedule(kernel, layer, cfg.causal)
         v = nx.matmul(n, br.wv)
@@ -302,8 +282,7 @@ def block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer:
             k = nx.matmul(qk_src, br.wk)
             if cache is not None:
                 k = nx.as_tensor(cache.keys[j].push(k.data))
-        attn_outs.append(sliding_window_attention(q, k, v, spec))
-    fused = multiscale_fuse(h_base, attn_outs, [br.mix for br in params.branches], alpha)
+        fused = nx.add(fused, sliding_window_attention(q, k, v, spec, br.mix, alpha))
     proj = nx.add(nx.matmul(fused, params.out_w), params.out_b)
     return nx.add(x, nx.dropout(proj, cfg.dropout, rng))
 

@@ -127,14 +127,14 @@ class Tensor:
         A node keeps its adjoint, its closure and its inputs' nodes; the
         arrays its closure and re-former captured are the only activations
         held for backward (one default offline train step, Adam included,
-        peaks at 185 MB resident at T=2000 and 339 MB at T=6000). Each
+        peaks at 165 MB resident at T=2000 and 262 MB at T=6000). Each
         non-leaf node is released as soon as its closure has run: its grad,
         closure, parent links, re-former and rebuilt value are dropped, so
         those arrays are freed while the sweep goes on, and backward needs
         little memory beyond what the forward pass left (about one attention
-        call's re-formed Q, K and V). Leaves (Parameters included) keep their
-        grad. A second call on the same graph propagates nothing, and
-        neither does a call on an untracked tensor; build a new graph to
+        call's re-formed Q, K, V and output). Leaves (Parameters included)
+        keep their grad. A second call on the same graph propagates nothing,
+        and neither does a call on an untracked tensor; build a new graph to
         differentiate again.
         """
         if self.data.size != 1:

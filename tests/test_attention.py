@@ -257,3 +257,54 @@ def test_attention_gradients_match_finite_differences(rng):
         spec = WindowSpec(window_size=w, causal=causal)
         err = finite_diff_check(lambda: tensor_sum(sliding_window_attention(q, k, v, spec)), [q, k, v])
         assert err <= 1e-4
+
+
+# --- fusion weight and alpha ------------------------------------------------------
+
+def test_weighted_call_matches_scaled_dense_reference():
+    rng = np.random.default_rng(4343)
+    worst = 0.0
+    for trial in range(100):
+        T = int(rng.integers(2, 150))
+        C = int(rng.integers(1, 17))
+        w = int(rng.choice([1, 2, 5, 16, 129]))
+        causal = bool(rng.integers(0, 2))
+        alpha = float(rng.choice([1.0, 0.5, 0.25]))
+        dtype = np.float32 if trial % 2 else np.float64
+        q, k, v = (rng.normal(size=(T, C)).astype(dtype) for _ in range(3))
+        mix = np.asarray(rng.uniform(-1.0, 1.0), dtype=dtype)
+        ref = alpha * mix * dense_masked_attention_reference(q, k, v, attention_mask(T, w, causal))
+        got = sliding_window_attention(as_tensor(q), as_tensor(k), as_tensor(v),
+                                       WindowSpec(window_size=w, causal=causal),
+                                       as_tensor(mix), alpha).data
+        assert got.dtype == dtype
+        worst = max(worst, float(np.abs(ref - got).max()))
+    assert worst <= 1e-6, f"worst deviation from the scaled dense reference: {worst}"
+
+
+def test_weighted_gradients_match_finite_differences(rng):
+    from msast.numerics import Parameter
+    from tests.oracles import finite_diff_check
+    from tests.test_numerics import tensor_sum
+
+    for w, causal, T, alpha in [(1, True, 6, 0.5), (1, False, 6, 1.0), (2, True, 7, 0.25),
+                                (5, False, 9, 1.0), (16, True, 70, 0.5), (64, False, 150, 0.25)]:
+        q, k, v = (Parameter(rng.normal(size=(T, 4)), name) for name in "qkv")
+        mix = Parameter(np.asarray(rng.uniform(0.5, 1.5)), "mix")
+        g = as_tensor(rng.normal(size=(T, 4)))
+        spec = WindowSpec(window_size=w, causal=causal)
+
+        def loss():
+            return tensor_sum(nx.mul(sliding_window_attention(q, k, v, spec, mix, alpha), g))
+
+        err = finite_diff_check(loss, [q, k, v, mix])
+        assert err <= 1e-4, f"w={w} causal={causal} T={T} alpha={alpha}: {err}"
+
+
+def test_non_scalar_weight_rejected(rng):
+    q = as_tensor(rng.normal(size=(5, 3)))
+    for shape in [(1,), (5, 3)]:
+        for w in (1, 2):
+            with pytest.raises(ShapeError):
+                sliding_window_attention(q, q, q, WindowSpec(window_size=w, causal=True),
+                                         as_tensor(np.ones(shape)))

@@ -630,18 +630,19 @@ def test_input_path_that_is_a_directory_exit_3(tmp_path, dataset, config, reques
     assert run(*argv) == 3
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+@pytest.mark.parametrize("command", ["train", "eval", "predict", "stream"])
 def test_output_into_missing_directory_exit_3_before_work(tmp_path, dataset, config, request, capsys,
                                                           command):
     out = tmp_path / "nodir" / "out"
     if command == "train":
         argv = ["--config", config, "--out", out]
     else:
-        ckpt = request.getfixturevalue("trained")
+        ckpt = request.getfixturevalue("causal_trained" if command == "stream" else "trained")
+        features = next((dataset / "features").iterdir())
         argv = {"eval": ["--ckpt", ckpt, "--data", dataset, "--report", out,
                          "--ribbon", tmp_path / "rib"],
-                "predict": ["--ckpt", ckpt, "--features", next((dataset / "features").iterdir()),
-                            "--out", out]}[command]
+                "predict": ["--ckpt", ckpt, "--features", features, "--out", out],
+                "stream": ["--ckpt", ckpt, "--features", features, "--out", out]}[command]
     capsys.readouterr()
     assert run(command, *argv) == 3
     stdout, err = capsys.readouterr()

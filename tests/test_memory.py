@@ -3,19 +3,20 @@ array buffers to it).
 
 A tape node keeps only the arrays its backward reads, so an activation no
 backward reads is freed once the forward drops it, and one that a re-former
-rebuilds from what the tape keeps anyway (a concat, a norm output, a fused
-branch sum, a matmul output through its GEMM, or a conv output through its
-tap loop) is not kept at all. A ReLU and a norm keep their input's node, so
-a branch's conv -> ReLU -> norm chain keeps only the block input, which the
-conv keeps for its weight gradient; dropout keeps its mask as packed bits.
-Backward consumes the tape as it runs, so it needs little memory beyond
-what the forward pass left and keeps almost nothing once done; attention
-keeps O(T) floats for backward, not its Q, K and V or its O(T x window)
-probabilities. One step of the default offline model at T=6000, Adam update
-included, peaks at about 339 MB resident (525 MB while the tape kept ReLU
-outputs and boolean dropout masks, 646 MB while it also kept fused sums,
-boolean ReLU masks and layer-1 V); `test_full_length_train_step_fits` holds
-it there.
+rebuilds from what the tape keeps anyway (a concat, a norm output, a matmul
+output through its GEMM, or a conv output through its tap loop) is not kept
+at all. A ReLU and a norm keep their input's node, so a branch's conv ->
+ReLU -> norm chain keeps only the block input, which the conv keeps for its
+weight gradient; dropout keeps its mask as packed bits. Attention returns
+its branch's fusion term and keeps O(T) floats for backward, not its Q, K
+and V, its O(T x window) probabilities or its output, which backward
+re-forms chunk by chunk; a block's fused branch sum is kept once, by the
+out-projection GEMM. Backward consumes the tape as it runs, so it needs
+little memory beyond what the forward pass left and keeps almost nothing
+once done. One step of the default offline model at T=6000, Adam update
+included, peaks at about 262 MB resident (339 MB while the tape kept the
+attention outputs, 525 MB while it also kept ReLU outputs and boolean
+dropout masks); `test_full_length_train_step_fits` holds it there.
 """
 
 import collections
@@ -62,12 +63,13 @@ def traced():
 def test_forward_tape_keeps_only_what_backward_reads(traced):
     graph = train_graph()  # noqa: F841 (the tape lives while it is held)
     tape = tracemalloc.get_traced_memory()[0]
-    # measured 3.17 MB; 4.91 MB while the tape kept ReLU outputs (a norm's
-    # input) and boolean dropout masks, 6.38 MB while it kept fused sums,
-    # boolean ReLU masks and layer-1 V, 9.96 MB while attention kept its Q,
-    # K and V, 13.59 MB while the tape also kept norm outputs, decoder
-    # concats and float dropout masks, 21.9 MB when every node held its output
-    assert tape <= 3.33e6, f"forward tape holds {tape / 1e6:.2f} MB"
+    # measured 2.77 MB; 3.17 MB while the tape kept attention outputs,
+    # 4.91 MB while it kept ReLU outputs (a norm's input) and boolean dropout
+    # masks, 6.38 MB while it kept fused sums, boolean ReLU masks and layer-1
+    # V, 9.96 MB while attention kept its Q, K and V, 13.59 MB while the tape
+    # also kept norm outputs, decoder concats and float dropout masks, 21.9 MB
+    # when every node held its output
+    assert tape <= 2.91e6, f"forward tape holds {tape / 1e6:.2f} MB"
 
 
 def test_unread_activation_is_freed_with_its_tensor():
@@ -90,12 +92,13 @@ def test_backward_needs_no_memory_beyond_the_forward_tape(traced):
     tracemalloc.reset_peak()
     loss.backward()
     left, peak = tracemalloc.get_traced_memory()
-    # measured 4.21 MB over a 3.17 MB tape: backward re-forms one attention
-    # call's Q, K and V at a time, and a branch's conv and ReLU outputs
-    # while it runs the branch (5.82 MB over 4.91 MB while the tape kept
-    # ReLU outputs, 7.16 MB over 6.38 MB while it kept fused sums, and
-    # 10.34 MB over 9.96 MB while it kept Q, K and V)
-    assert peak <= 4.43e6, f"backward peak {peak / 1e6:.2f} MB over a {forward / 1e6:.2f} MB tape"
+    # measured 3.94 MB over a 2.77 MB tape: backward re-forms one attention
+    # call's Q, K, V and output at a time, and a branch's conv and ReLU
+    # outputs while it runs the branch (4.21 MB over 3.17 MB while the tape
+    # kept attention outputs, 5.82 MB over 4.91 MB while it kept ReLU
+    # outputs, 7.16 MB over 6.38 MB while it kept fused sums, and 10.34 MB
+    # over 9.96 MB while it kept Q, K and V)
+    assert peak <= 4.14e6, f"backward peak {peak / 1e6:.2f} MB over a {forward / 1e6:.2f} MB tape"
     # what remains: the parameters with their grads, the stage logits the
     # caller still holds, and a fixed allowance (measured 0.12 MB) for the
     # model's structure and the interpreter's free lists
@@ -168,10 +171,10 @@ def test_decoder_tape_keeps_no_concat_or_norm_output(monkeypatch):
 def test_attention_tape_keeps_no_query_key_or_value(monkeypatch):
     made = []  # (q, k, v) of every attention call that forms scores
 
-    def record(q, k, v, spec):
+    def record(q, k, v, spec, *fusion):
         if spec.window_size > 1:  # a width-1 window returns v itself
             made.append((q, k, v))
-        return sliding_window_attention(q, k, v, spec)
+        return sliding_window_attention(q, k, v, spec, *fusion)
 
     monkeypatch.setattr(mdl, "sliding_window_attention", record)
     _, stages, loss = train_graph(T=50)
@@ -190,26 +193,63 @@ def test_attention_tape_keeps_no_query_key_or_value(monkeypatch):
         assert node._reform().tobytes() == forward
 
 
-def test_fused_branch_sum_is_re_formed_not_kept(monkeypatch):
-    made, fuse = [], mdl.multiscale_fuse  # every multiscale_fuse output
+def _grad_bytes(model):
+    return [None if p.grad is None else p.grad.tobytes() for p in model.parameters()]
 
-    def record(*args):
-        made.append(fuse(*args))
-        return made[-1]
 
-    monkeypatch.setattr(mdl, "multiscale_fuse", record)
-    _, stages, loss = train_graph(T=50)
+def _composed(q, k, v, spec, weight, alpha):
+    """A branch's fusion term from an unweighted attention call, then the
+    product with the weight and the scale by alpha as separate tape ops."""
+    term = nx.mul(weight, sliding_window_attention(q, k, v, spec))
+    return term if alpha == 1.0 else nx.scale(term, alpha)
+
+
+def test_attention_outputs_are_not_kept(monkeypatch):
+    terms, sums, outputs = [], [], []  # branch terms, (addend, sum) pairs, attention outputs
+
+    def record(q, k, v, spec, weight, alpha):
+        with nx.no_grad():
+            outputs.append(sliding_window_attention(q, k, v, spec).data)
+        terms.append(sliding_window_attention(q, k, v, spec, weight, alpha))
+        return terms[-1]
+
+    def record_add(a, b, _add=nx.add):
+        sums.append((b, _add(a, b)))
+        return sums[-1][1]
+
+    monkeypatch.setattr(mdl, "sliding_window_attention", record)
+    monkeypatch.setattr(nx, "add", record_add)
+    model, stages, loss = train_graph(T=50)
     monkeypatch.undo()
-    assert len(made) == (1 + TINY.num_decoders) * TINY.layers_per_stage
-    ids = {id(t.data) for t in made}
-    assert [op for buf, _, op in tape_arrays(loss) if id(buf) in ids] == []
+    blocks, scales = (1 + TINY.num_decoders) * TINY.layers_per_stage, len(TINY.kernels)
+    assert len(terms) == blocks * scales
+    kept = tape_arrays(loss)
+    assert [op for buf, _, op in kept if any(buf is t.data for t in terms)] == []
+    forms = {(a.shape, a.tobytes()) for a in outputs + [t.data for t in terms]}
+    assert [op for buf, _, op in kept if (buf.shape, buf.tobytes()) in forms] == []
+    # a block's fused sum is the one that adds its last branch's term; the
+    # out-projection GEMM keeps it, and no partial sum is kept
+    last = {id(t) for t in terms[scales - 1::scales]}
+    fused = {id(out.data) for b, out in sums if id(b) in last}
+    partial = {id(out.data) for b, out in sums
+               if id(b) not in last and any(b is t for t in terms)}
+    assert len(fused) == blocks and len(partial) == blocks * (scales - 1)
+    assert [op for buf, _, op in kept if id(buf) in fused] == ["matmul"] * blocks
+    assert [op for buf, _, op in kept if id(buf) in partial] == []
+    del terms[:], sums[:], outputs[:], kept
+    loss.backward()
+    folded = _grad_bytes(model)
 
-    values = [(t._node, t.data.tobytes(), weakref.ref(t.data)) for t in made]
-    del made[:]
-    assert stages.logits[-1]._parents, "the graph is alive"
-    assert all(ref() is None for _, _, ref in values), "the tape keeps a fused sum"
-    for node, forward, _ in values:
-        assert node._reform().tobytes() == forward
+    monkeypatch.setattr(mdl, "sliding_window_attention", _composed)
+    model, _, loss = train_graph(T=50)
+    monkeypatch.undo()
+    loss.backward()
+    # the same gradients as mul and scale gave the weight and alpha apart
+    composed = _grad_bytes(model)
+    mixes = [i for i, p in enumerate(model.parameters()) if p.name.endswith(".mix")]
+    assert len(mixes) == blocks * scales
+    assert [folded[i] for i in mixes] == [composed[i] for i in mixes]
+    assert folded == composed
 
 
 def test_conv_and_relu_outputs_are_re_formed_once_not_kept(monkeypatch):
@@ -268,8 +308,8 @@ def test_relu_keeps_one_bit_per_element(monkeypatch):
 def test_layer_one_tape_keeps_no_value(monkeypatch):
     made = []  # (v, output) of every width-1 attention call
 
-    def record(q, k, v, spec):
-        out = sliding_window_attention(q, k, v, spec)
+    def record(q, k, v, spec, *fusion):
+        out = sliding_window_attention(q, k, v, spec, *fusion)
         if spec.window_size == 1:
             made.append((v, out))
         return out
@@ -278,14 +318,16 @@ def test_layer_one_tape_keeps_no_value(monkeypatch):
     _, stages, loss = train_graph(T=50)
     monkeypatch.undo()
     assert len(made) == (1 + TINY.num_decoders) * len(TINY.kernels)
-    ids = {id(v.data) for v, _ in made}
+    ids = {id(t.data) for vo in made for t in vo}
     assert [op for buf, _, op in tape_arrays(loss) if id(buf) in ids] == []
 
-    # the output is a view of V, so V's buffer outlives both
-    values = [(t._node, t.data.tobytes(), weakref.ref(v.data)) for v, out in made for t in (v, out)]
+    # the output is the branch's fusion term, a new array that nothing re-forms
+    values = [(v._node, v.data.tobytes(), weakref.ref(v.data)) for v, _ in made]
+    outs = [weakref.ref(out.data) for _, out in made]
     del made[:]
     assert stages.logits[-1]._parents, "the graph is alive"
     assert all(ref() is None for _, _, ref in values), "the tape keeps a layer-1 V"
+    assert all(ref() is None for ref in outs), "the tape keeps a layer-1 term"
     for node, forward, _ in values:
         assert node._reform().tobytes() == forward
 
@@ -323,8 +365,9 @@ def test_full_length_train_step_fits():
     layer_one = {f"{stage}.b0.k{k}.{w}" for stage in ("enc", "dec1", "dec2", "dec3")
                  for k in (3, 5, 17) for w in ("wq", "wk")}
     assert set(result["no_grad"]) == layer_one  # width-1 attention reads neither
-    # measured 339 MB (2 vCPUs, numpy 2.4 on OpenBLAS); 525 MB while the tape
-    # kept ReLU outputs and boolean dropout masks, 646 MB while it kept fused
-    # sums, boolean ReLU masks and layer-1 V
+    # measured 262 MB (2 vCPUs, numpy 2.4 on OpenBLAS); 339 MB while the
+    # tape kept attention outputs, 525 MB while it also kept ReLU outputs and
+    # boolean dropout masks, 646 MB while it kept fused sums, boolean ReLU
+    # masks and layer-1 V
     peak = result["peak_kb"] / 1024
-    assert peak <= 375, f"a T=6000 train step peaked at {peak:.0f} MB"
+    assert peak <= 289, f"a T=6000 train step peaked at {peak:.0f} MB"

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from msast import numerics as nx
+from msast.attention import WindowSpec, sliding_window_attention
 from msast.errors import ConfigError, ModeError, ShapeError
 from msast.model import (
     ModelConfig,
@@ -12,7 +17,6 @@ from msast.model import (
     check_input,
     forward_full,
     forward_stream,
-    multiscale_fuse,
     predict,
 )
 from msast.numerics import Parameter, as_tensor
@@ -41,32 +45,42 @@ def test_alpha_schedule_rejects_zero_index():
         alpha_schedule(0, 2.0)
 
 
+def _branch_term(rng, weight, alpha=1.0, w=5):
+    """One random attention call's fusion term at `weight` and `alpha`."""
+    q, k, v = (as_tensor(rng.normal(size=(6, 4))) for _ in range(3))
+    spec = WindowSpec(window_size=w, causal=False)
+    term = sliding_window_attention(q, k, v, spec, Parameter(np.asarray(weight), "w"), alpha)
+    return term, sliding_window_attention(q, k, v, spec)
+
+
 def test_fuse_zero_weights_is_identity(rng):
     h = as_tensor(rng.normal(size=(6, 4)))
-    attns = [as_tensor(rng.normal(size=(6, 4))) for _ in range(3)]
-    weights = [Parameter(np.asarray(0.0), f"w{j}") for j in range(3)]
-    out = multiscale_fuse(h, attns, weights, alpha=1.0)
+    out = h
+    for w in (1, 5, 16):
+        out = nx.add(out, _branch_term(rng, 0.0, w=w)[0])
     assert np.array_equal(out.data, h.data)
 
 
 def test_fuse_alpha_zero_is_identity(rng):
     h = as_tensor(rng.normal(size=(6, 4)))
-    attns = [as_tensor(rng.normal(size=(6, 4)))]
-    out = multiscale_fuse(h, attns, [Parameter(np.asarray(2.0), "w")], alpha=0.0)
-    assert np.array_equal(out.data, h.data)
+    for w in (1, 5):
+        out = nx.add(h, _branch_term(rng, 2.0, alpha=0.0, w=w)[0])
+        assert np.array_equal(out.data, h.data)
 
 
 def test_fuse_single_scale_unit_weight(rng):
     h = as_tensor(rng.normal(size=(6, 4)))
-    a = as_tensor(rng.normal(size=(6, 4)))
-    out = multiscale_fuse(h, [a], [Parameter(np.asarray(1.0), "w")], alpha=1.0)
-    np.testing.assert_array_equal(out.data, h.data + a.data)
+    term, attn = _branch_term(rng, 1.0)
+    np.testing.assert_array_equal(nx.add(h, term).data, h.data + attn.data)
 
 
 def test_fuse_length_mismatch(rng):
-    h = as_tensor(rng.normal(size=(3, 2)))
-    with pytest.raises(ShapeError):
-        multiscale_fuse(h, [h], [], alpha=1.0)
+    model = tiny_model()
+    blk = model.encoder.blocks[0]
+    x = as_tensor(rng.normal(size=(6, 8)).astype(np.float32))
+    for branches in (blk.branches[:1], blk.branches + blk.branches[:1]):
+        with pytest.raises(ShapeError):
+            block_forward(x, None, replace(blk, branches=branches), 1, 1.0, model.cfg)
 
 
 # --- config validation ------------------------------------------------------------
@@ -347,6 +361,32 @@ def test_stream_matches_full_forward_after_every_cache_wraps(rng):
         step = forward_stream(model, feats[t], state)
         np.testing.assert_allclose(step[0], full[t], rtol=1e-4, atol=1e-5, err_msg=f"t={t}")
         assert step[0].argmax() == full[t].argmax()
+
+
+@st.composite
+def causal_cases(draw):
+    """(config, T, seed) of a causal model: kernels 3 to 11, odd or even."""
+    extra = draw(st.lists(st.integers(4, 11), max_size=2, unique=True))
+    cfg = ModelConfig(input_dim=draw(st.integers(1, 6)), num_classes=draw(st.integers(2, 5)),
+                      kernels=(3, *sorted(extra)), layers_per_stage=draw(st.integers(1, 7)),
+                      feature_maps=draw(st.integers(1, 8)), num_decoders=draw(st.integers(1, 3)),
+                      causal=True)
+    return cfg, draw(st.integers(1, 300)), draw(st.integers(0, 2**16))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(causal_cases())
+def test_stream_matches_full_forward_on_random_causal_models(case):
+    cfg, T, seed = case
+    model = build_model(cfg, seed=seed)
+    feats = np.random.default_rng(seed).normal(size=(T, cfg.input_dim)).astype(np.float32)
+    full = forward_full(model, feats).final()
+    state = StreamState()
+    rows = np.concatenate([forward_stream(model, feats[t], state) for t in range(T)])
+    # each row to 1e-5 of its own largest logit
+    err = np.abs(rows - full).max(axis=1) / np.abs(full).max(axis=1)
+    assert err.max() <= 1e-5, f"row {err.argmax()} of {T}: relative error {err.max():.2e}"
 
 
 def test_stream_state_size_is_bounded(rng):
