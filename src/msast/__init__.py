@@ -23,6 +23,7 @@ from .errors import (
     ModeError,
     MsastError,
     NumericError,
+    ResourceError,
     ShapeError,
 )
 from .metrics import (

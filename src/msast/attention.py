@@ -9,8 +9,10 @@ scheme of Longformer (Beltagy et al. 2020) with FlashAttention-style query
 tiling (Dao et al. 2022). Each chunk of `_CHUNK` query rows attends with
 dense GEMMs to the key/value slab its window can reach, so memory and work
 are O(T * (chunk + width)), not O(T^2), and a sequence of at most `_CHUNK`
-frames is a single dense chunk. The kernel returns its branch's fusion
-term, the attention output times the branch's fusion weight and alpha. For
+frames is a single dense chunk. The kernel scales a chunk's queries by
+1/sqrt(C) when it reaches the chunk, so it holds no scaled copy of Q, and
+returns its branch's fusion term, the attention output times the branch's
+fusion weight and alpha, formed in place on its own output. For
 backward it keeps two floats per query row, each row's softmax max and sum,
 and recomputes a chunk's probabilities from them (the FlashAttention
 backward), and with them the chunk's output, so the tape holds O(T) floats
@@ -121,10 +123,13 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
     scale = q.data.dtype.type(alpha)
 
     def term(out):
-        """alpha * (weight * out), in the fusion's order."""
+        """alpha * (weight * out), in the fusion's order, formed in place on
+        `out`, an output of this call's own."""
         if weight is not None:
-            out = weight.data * out
-        return out if alpha == 1.0 else out * scale
+            out *= weight.data
+        if alpha != 1.0:
+            out *= scale
+        return out
 
     def adjoints(g):
         """(the adjoint of weight * attention, the attention output's adjoint)."""
@@ -138,7 +143,7 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
             _accumulate(wn, np.ascontiguousarray((g * out).sum(axis=(0, 1))).reshape(()))
 
     if spec.window_size == 1:
-        out_data = term(vd[o:])
+        out_data = term(vd[o:].copy())
         if not _tracking(v, *weighted):
             return Tensor(out_data)
         v_saved = _saved(v)
@@ -154,18 +159,20 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
     kd = k.data
     bias = None
 
-    def scores(qs, s, e, a, b):
-        """qs[s:e] . kd[a:b]^T, -inf where a chunk row's window misses the slab."""
+    def scores(qc, s, e, a, b):
+        """qc . kd[a:b]^T for the scaled queries qc of rows s:e, -inf where a
+        chunk row's window misses the slab."""
         nonlocal bias
-        out = qs[s:e] @ kd[a:b].T
+        out = qc @ kd[a:b].T
         if a - (o + e) + 1 < -left or b - 1 - (o + s) > right:
             if bias is None:
                 # Column j is key p - left + j for chunk row i (query p + i), so a
                 # chunk's bias is the column slice at its clipped slab start.
                 # -inf out of the window weighs exactly zero after exp. Later
                 # chunks are no taller than this one.
-                rel = np.arange(e - s + left + right)[None, :] - np.arange(e - s)[:, None]
-                bias = np.where((rel < 0) | (rel > left + right), NEG_INF, 0.0).astype(qs.dtype)
+                row, col = np.arange(e - s)[:, None], np.arange(e - s + left + right)
+                bias = np.where((col < row) | (col > row + left + right),
+                                qc.dtype.type(NEG_INF), qc.dtype.type(0.0))
             c = a - (o + s) + left
             out += bias[:e - s, c:c + b - a]
         return out
@@ -176,11 +183,10 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
             e = min(s + _CHUNK, n)
             yield s, e, max(0, o + s - left), min(T, o + e + right)
 
-    qs = q.data * inv_sqrt
-    out_data = np.empty_like(qs)
-    stats = np.empty((n, 2), dtype=qs.dtype)  # each query row's softmax max and sum
+    out_data = np.empty_like(q.data)
+    stats = np.empty((n, 2), dtype=q.data.dtype)  # each query row's softmax max and sum
     for s, e, a, b in chunks():
-        probs = scores(qs, s, e, a, b)
+        probs = scores(q.data[s:e] * inv_sqrt, s, e, a, b)
         probs -= probs.max(axis=1, keepdims=True, out=stats[s:e, :1])
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=1, keepdims=True, out=stats[s:e, 1:])
@@ -196,11 +202,11 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
         nonlocal kd
         qd, kd, vd = (_value(t) for t in saved)
         g, ga = adjoints(g)
-        qs = qd * inv_sqrt
-        out, dq, dk, dv = np.empty_like(qs), np.empty_like(qs), np.zeros_like(kd), np.zeros_like(vd)
+        out, dq, dk, dv = np.empty_like(qd), np.empty_like(qd), np.zeros_like(kd), np.zeros_like(vd)
         for s, e, a, b in chunks():
             # the forward's operations in its order, so probs and out are bit-identical
-            probs = scores(qs, s, e, a, b)
+            qc = qd[s:e] * inv_sqrt
+            probs = scores(qc, s, e, a, b)
             probs -= stats[s:e, :1]
             np.exp(probs, out=probs)
             probs /= stats[s:e, 1:]
@@ -212,7 +218,7 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
             ds -= delta
             ds *= probs
             np.matmul(ds, kd[a:b], out=dq[s:e])
-            dk[a:b] += ds.T @ qs[s:e]
+            dk[a:b] += ds.T @ qc
         dq *= inv_sqrt
         _accumulate(qn, dq)
         _accumulate(kn, dk)

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import data as dio
 from . import metrics as mx
-from .errors import ConfigError, DataError, FileFormatError, ModeError, NumericError, ShapeError
+from .errors import (ConfigError, DataError, FileFormatError, ModeError, NumericError, ResourceError,
+                     ShapeError)
 from .model import (ModelConfig, StreamState, build_model, check_input, forward_stream,
                     labels_from_logits, predict)
 from .training import AdamState, TrainConfig, load_checkpoint, save_checkpoint, train
@@ -32,7 +33,7 @@ SYNTH_FLAGS = {"videos": "num_videos", "classes": "num_classes", "dim": "feature
 
 # exception class -> exit code; 0 is success
 EXIT_CODES = ((ConfigError, 2), (DataError, 2), (FileFormatError, 3), (OSError, 3),
-              (NumericError, 4), (ShapeError, 5), (ModeError, 6))
+              (NumericError, 4), (ShapeError, 5), (ModeError, 6), (ResourceError, 7))
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 # value type -> (parser, what a value that fails to parse should have been)

@@ -93,8 +93,12 @@ class _Reader:
         if n > have:
             raise self.error(f"truncated: {field} needs {n} bytes at offset {self.pos}, {have} left")
 
-    def take(self, n: int, field: str) -> bytes:
+    def need(self, n: int, field: str):
+        """Raise unless at least n bytes are left, before a buffer is sized for them."""
         self._check(n, self.size - self.pos, field)
+
+    def take(self, n: int, field: str) -> bytes:
+        self.need(n, field)
         chunk = self.fh.read(n)
         self._check(n, len(chunk), field)
         self.pos += n
@@ -109,18 +113,19 @@ class _Reader:
         if found != expected:
             raise self.error(f"bad magic {found!r} at offset {at}, expected {expected!r}")
 
-    def floats(self, shape: tuple[int, ...], field: str) -> np.ndarray:
-        """The next prod(shape) float32 LE values, read straight into a new array."""
+    def floats(self, shape: tuple[int, ...], field: str, out: np.ndarray | None = None) -> np.ndarray:
+        """The next prod(shape) float32 LE values, read straight into `out`,
+        a C-contiguous float32 LE array of that shape, or else into a new array."""
         n = 4 * math.prod(shape)
-        self._check(n, self.size - self.pos, field)
-        values = np.empty(shape, dtype="<f4")
+        self.need(n, field)
+        values = np.empty(shape, dtype="<f4") if out is None else out
         self._check(n, self.fh.readinto(values), field)
         self.pos += n
         return values
 
     def skip(self, n: int, field: str):
         """Seek over the next n bytes, which must lie within the file."""
-        self._check(n, self.size - self.pos, field)
+        self.need(n, field)
         self.fh.seek(n, os.SEEK_CUR)
         self.pos += n
 

@@ -32,3 +32,8 @@ class NumericError(MsastError):
 
 class ModeError(MsastError):
     """Operation invoked on a model of the wrong causality mode."""
+
+
+class ResourceError(MsastError, MemoryError):
+    """Allocating a model's weights or Adam moments failed although the
+    memory bound admitted them; the message names the step."""

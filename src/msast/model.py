@@ -13,7 +13,13 @@ encoder and first decoder, then decaying by alpha_base per decoder. Each
 attention call returns its branch's term alpha * (mix_j * attn_j), and the
 block adds the terms to h_base in branch order. The tape keeps no attention
 output; the out-projection GEMM keeps the fused sum, one T x C array per
-block.
+block. With or without a tape, a branch's attention runs while the block
+holds only its input, enc_out, the fused sum and that branch's Q, K and V:
+the block drops each branch's conv, norm and concat outputs once they are
+read, and a stage its input projection once its first block has read it.
+
+A model's parameters share one buffer, `Model.weights`, in layout order
+(see `assemble_model`); dropping the model frees it whole.
 
 Causal models use causal convolutions and windows and carry no temporal
 normalization, so logits at time t never depend on frames after t. Each
@@ -29,6 +35,7 @@ all T frames with no history.
 
 import math
 import os
+import resource
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +43,7 @@ import numpy as np
 from . import numerics as nx
 from .attention import WindowSpec, sliding_window_attention, window_schedule
 from .data import check_class_ids
-from .errors import ConfigError, ModeError, ShapeError
+from .errors import ConfigError, ModeError, ResourceError, ShapeError
 from .numerics import Parameter, Tensor, no_grad
 
 # Python objects per parameter entry beyond its floats, charged by the
@@ -44,6 +51,36 @@ from .numerics import Parameter, Tensor, no_grad
 # its two Adam moment views (312) and its grad's header (122), measured
 # with tracemalloc on numpy 2.4 and Python 3.11, rounded up
 ENTRY_BYTES = 1024
+
+
+def memory_limit() -> tuple[int, str]:
+    """(bytes, what sets them): the most this process can still allocate, the
+    least of physical memory, RLIMIT_AS and RLIMIT_DATA less what the process
+    already maps, and the memory.max of its cgroup (v2), where that file
+    exists."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    limits = [(page * os.sysconf("SC_PHYS_PAGES"), "of physical memory")]
+    try:
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            fields = [page * int(f) for f in fh.read().split()]
+        mapped = {"RLIMIT_AS": fields[0], "RLIMIT_DATA": fields[5]}  # size; data + stack
+    except (OSError, ValueError, IndexError):
+        mapped = {"RLIMIT_AS": 0, "RLIMIT_DATA": 0}
+    for name, used in mapped.items():
+        soft = resource.getrlimit(getattr(resource, name))[0]
+        if soft != resource.RLIM_INFINITY:
+            limits.append((max(0, soft - used), f"that {name} leaves beside the "
+                                                f"{used / 2**30:.1f} GiB already mapped"))
+    try:
+        with open("/proc/self/cgroup", encoding="utf-8") as fh:
+            group = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        with open(f"/sys/fs/cgroup{group.rstrip('/')}/memory.max", encoding="ascii") as fh:
+            raw = fh.read().strip()
+        if raw != "max":
+            limits.append((int(raw), "of its cgroup's memory.max"))
+    except (OSError, StopIteration, ValueError):
+        pass
+    return min(limits)
 
 
 @dataclass(frozen=True)
@@ -89,11 +126,11 @@ class ModelConfig:
         if not problems:
             scalars, entries = self.parameter_count()
             need = 12 * scalars + ENTRY_BYTES * entries  # float32 weight, Adam m and v
-            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            have, source = memory_limit()
             if need > have:
                 problems.append(f"{scalars} parameters in {entries} entries need "
                                 f"{need / 2**30:.1f} GiB with their Adam moments, more than "
-                                f"the {have / 2**30:.1f} GiB of physical memory")
+                                f"the {have / 2**30:.1f} GiB {source}")
         return problems
 
     def parameter_count(self) -> tuple[int, int]:
@@ -110,7 +147,7 @@ class ModelConfig:
             scalars += math.prod(shape) * copies
             entries += copies
 
-        assemble_model(replace(self, layers_per_stage=1, num_decoders=1), count)
+        _layout(replace(self, layers_per_stage=1, num_decoders=1), count)
         return scalars, entries
 
     def validate(self):
@@ -156,6 +193,7 @@ class Model:
     decoders: list[StageParams]
     dtype: np.dtype
     params: list[Parameter]  # every Parameter, in layout order (see assemble_model)
+    weights: np.ndarray      # the one buffer every Parameter's data views
 
     def parameters(self) -> list[Parameter]:
         return list(self.params)
@@ -266,10 +304,11 @@ def block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer:
     src = x if cache is None else nx.as_tensor(cache.inputs.push(x.data))
     fused = None
     for j, (kernel, br) in enumerate(zip(cfg.kernels, params.branches)):
-        h = nx.relu(nx.dilated_conv1d(src, br.conv_w, br.conv_b, dilation, mode, rows))
+        n = nx.relu(nx.dilated_conv1d(src, br.conv_w, br.conv_b, dilation, mode, rows))
         if fused is None:
-            fused = h  # h_base
-        n = h if cfg.causal else nx.temporal_norm(h, params.norm_gain, params.norm_bias)
+            fused = n  # h_base
+        if not cfg.causal:
+            n = nx.temporal_norm(n, params.norm_gain, params.norm_bias)
         spec = WindowSpec.from_schedule(kernel, layer, cfg.causal)
         v = nx.matmul(n, br.wv)
         if cache is not None:
@@ -277,30 +316,24 @@ def block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer:
         if spec.window_size == 1:
             q = k = v  # a width-1 window returns v and reads neither q nor k
         else:
-            qk_src = n if enc_out is None else nx.concat_channels(n, enc_out)
-            q = nx.matmul(qk_src, br.wq)
-            k = nx.matmul(qk_src, br.wk)
+            if enc_out is not None:
+                n = nx.concat_channels(n, enc_out)
+            q = nx.matmul(n, br.wq)
+            k = nx.matmul(n, br.wk)
             if cache is not None:
                 k = nx.as_tensor(cache.keys[j].push(k.data))
+        del n  # attention reads only q, k and v
         fused = nx.add(fused, sliding_window_attention(q, k, v, spec, br.mix, alpha))
+        del q, k, v
     proj = nx.add(nx.matmul(fused, params.out_w), params.out_b)
     return nx.add(x, nx.dropout(proj, cfg.dropout, rng))
 
 
-def assemble_model(cfg: ModelConfig, param, dtype=np.float32) -> Model:
-    """The one parameter layout, for initialization and checkpoint loading.
-
-    Every Parameter comes from `param(name, shape, fan_in=None, fill=0.0)`
-    (weights pass their fan-in; the rest fan_in None and a constant fill).
-    The call order is the draw order, `Model.parameters()` and the
-    checkpoint entry order."""
+def _layout(cfg: ModelConfig, make) -> tuple[StageParams, list[StageParams]]:
+    """The encoder and decoders, every Parameter from `make(name, shape,
+    fan_in=None, fill=0.0)` (weights pass their fan-in; the rest fan_in None
+    and a constant fill), called in layout order."""
     C = cfg.feature_maps
-    params = []
-
-    def make(name, shape, fan_in=None, fill=0.0):
-        p = param(name, shape, fan_in, fill)
-        params.append(p)
-        return p
 
     def stage(prefix: str, in_dim: int, cross: bool) -> StageParams:
         in_w = make(f"{prefix}.in.w", (in_dim, C), in_dim)
@@ -334,28 +367,59 @@ def assemble_model(cfg: ModelConfig, param, dtype=np.float32) -> Model:
     encoder = stage("enc", cfg.input_dim, cross=False)
     decoders = [stage(f"dec{d}", cfg.num_classes, cross=True)
                 for d in range(1, cfg.num_decoders + 1)]
-    return Model(cfg, encoder, decoders, np.dtype(dtype), params)
+    return encoder, decoders
+
+
+def assemble_model(cfg: ModelConfig, write, dtype=np.float32) -> Model:
+    """The one parameter layout, for initialization and checkpoint loading.
+
+    The model's values live in one C-contiguous buffer, `Model.weights`,
+    with each Parameter's data a view of its slot: slots follow layout
+    order with no gaps, the order `AdamState.init` lays the moments out in.
+    `write(name, out, fan_in=None, fill=0.0)` fills each slot `out` (weights
+    pass their fan-in; the rest fan_in None and a constant fill). The call
+    order is the draw order, `Model.parameters()` and the checkpoint entry
+    order. A buffer that cannot be allocated raises ResourceError."""
+    scalars = cfg.parameter_count()[0]
+    try:
+        weights = np.empty(scalars, dtype)
+    except MemoryError:
+        raise ResourceError(f"out of memory allocating the weights: {scalars} parameters, "
+                            f"{scalars * np.dtype(dtype).itemsize / 2**30:.2f} GiB") from None
+    params, at = [], 0
+
+    def make(name, shape, fan_in=None, fill=0.0):
+        nonlocal at
+        out = weights[at:at + math.prod(shape)].reshape(shape)
+        at += out.size
+        write(name, out, fan_in, fill)
+        params.append(Parameter(out, name))
+        return params[-1]
+
+    encoder, decoders = _layout(cfg, make)
+    return Model(cfg, encoder, decoders, np.dtype(dtype), params, weights)
 
 
 def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> Model:
     """Deterministic initialization: weights uniform in +-sqrt(1/fan_in),
     biases zero, fusion weights 1, norm gain 1 / bias 0."""
     cfg.validate()
-    dtype = np.dtype(dtype)
     rng = np.random.default_rng(seed)
 
-    def param(name, shape, fan_in=None, fill=0.0):
+    def write(name, out, fan_in=None, fill=0.0):
         if fan_in is None:
-            return Parameter(np.full(shape, fill, dtype=dtype), name)
-        bound = math.sqrt(1.0 / fan_in)
-        return Parameter(rng.uniform(-bound, bound, size=shape).astype(dtype), name)
+            out[...] = fill
+        else:
+            bound = math.sqrt(1.0 / fan_in)
+            out[...] = rng.uniform(-bound, bound, size=out.shape)
 
-    return assemble_model(cfg, param, dtype)
+    return assemble_model(cfg, write, dtype)
 
 
-def _run_stage(h: Tensor, stage: StageParams, cfg: ModelConfig, enc_hidden: Tensor | None,
+def _run_stage(inp: Tensor, stage: StageParams, cfg: ModelConfig, enc_hidden: Tensor | None,
                alpha: float, rng, caches: list) -> tuple[Tensor, Tensor]:
-    """Returns (final hidden state, logits) for one stage."""
+    """Returns (final hidden state, logits) for one stage over its input."""
+    h = nx.add(nx.matmul(inp, stage.in_w), stage.in_b)
     for layer, (params, cache) in enumerate(zip(stage.blocks, caches), start=1):
         h = block_forward(h, enc_hidden, params, layer, alpha, cfg, rng, cache)
     logits = nx.add(nx.matmul(h, stage.head_w), stage.head_b)
@@ -368,15 +432,12 @@ def _forward(model: Model, features: np.ndarray, rng, caches=None) -> StageOutpu
     cfg = model.cfg
     caches = caches or [[None] * cfg.layers_per_stage] * (1 + cfg.num_decoders)
     x = nx.as_tensor(features.astype(model.dtype, copy=False))
-    h = nx.add(nx.matmul(x, model.encoder.in_w), model.encoder.in_b)
-    enc_hidden, logits = _run_stage(h, model.encoder, cfg, None, 1.0, rng, caches[0])
+    enc_hidden, logits = _run_stage(x, model.encoder, cfg, None, 1.0, rng, caches[0])
     stages = [logits]
     for d, dec in enumerate(model.decoders, start=1):
         alpha = alpha_schedule(d, cfg.alpha_base)
         inp = nx.softmax_rows(stages[-1])
-        h = nx.add(nx.matmul(inp, dec.in_w), dec.in_b)
-        _, logits = _run_stage(h, dec, cfg, enc_hidden, alpha, rng, caches[d])
-        stages.append(logits)
+        stages.append(_run_stage(inp, dec, cfg, enc_hidden, alpha, rng, caches[d])[1])
     return StageOutputs(stages)
 
 

@@ -364,11 +364,12 @@ def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each channel with mean/variance taken over the full time axis.
 
     Only valid on acausal paths: the statistics read the whole sequence.
-    Population variance; eps fixed at 1e-5. The tape keeps the input as
-    `_saved` does (in the model the ReLU's node) and the per-channel mean and
-    1/std, not `xhat`: the output's re-former and backward rebuild `xhat`
-    with the forward's own operations, once between them (the first to need
-    it builds it, backward drops it).
+    Population variance; eps fixed at 1e-5. The output is formed in place on
+    `xhat`. The tape keeps the input as `_saved` does (in the model the
+    ReLU's node) and the per-channel mean and 1/std, not `xhat`: the
+    output's re-former and backward rebuild `xhat` with the forward's own
+    operations, once between them (the first to need it builds it, backward
+    drops it).
     """
     T, C = x.data.shape
     if T < 2:
@@ -381,11 +382,13 @@ def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = np.add.reduce(xhat * xhat, axis=0) / T
     inv = 1.0 / np.sqrt(var + xd.dtype.type(1e-5))
     xhat *= inv
-    out_data = xhat * gain.data + bias.data
+    xhat *= gain.data
+    xhat += bias.data
+    out_data, xhat = xhat, None  # the output, formed in place
     if not _tracking(x, gain, bias):
         return Tensor(out_data)
     gd, bd, xn, gn, bn = gain.data, bias.data, x._node, gain._node, bias._node
-    x_saved, xhat = _saved(x), None
+    x_saved = _saved(x)
 
     def rebuilt():
         nonlocal xhat

@@ -7,6 +7,7 @@ size 1 video, shuffled per epoch by one seeded generator that also drives
 dropout, so a (seed, data, config) triple fixes every parameter byte.
 """
 
+import contextlib
 import math
 import os
 import struct
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import numerics as nx
 from .data import _Reader, check_class_ids
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ResourceError, ShapeError
 from .model import (Model, ModelConfig, StageOutputs, assemble_model, check_input,
                     forward_full, labels_from_logits)
 from .numerics import Parameter, Tensor, _accumulate, _tracked, _tracking
@@ -145,7 +146,11 @@ class AdamState:
         # that size come from the heap. The default model's 52 MB is past that
         # cap and its 26 MB halves are not (offline inference then peaked
         # 1.3 MB higher).
-        flat = np.zeros((2, ends[-1]), model.dtype)
+        try:
+            flat = np.zeros((2, ends[-1]), model.dtype)
+        except MemoryError:
+            raise ResourceError(f"out of memory allocating the Adam moments: 2 x {ends[-1]} "
+                                f"values, {2 * model.weights.nbytes / 2**30:.2f} GiB") from None
 
         def views(row) -> dict[str, np.ndarray]:
             parts = np.split(row, ends[:-1])
@@ -289,9 +294,10 @@ def _write_array(fh, name: str, arr: np.ndarray):
     fh.write(np.asarray(arr, dtype="<f4", order="C").data)  # no copy of a float32 LE array
 
 
-def _read_entry(r: _Reader, name: str, shape: tuple[int, ...], skip: bool = False):
-    """The next array entry, which must be `name` with dims `shape`; with
-    `skip`, its values are seeked over and None is returned."""
+def _read_entry(r: _Reader, name: str, shape: tuple[int, ...], skip: bool = False, out=None):
+    """The next array entry, which must be `name` with dims `shape`, read
+    into `out` if given; with `skip`, its values are seeked over and None is
+    returned."""
     at = r.pos
     (name_length,) = r.unpack("<H", "name length")
     raw_name = r.take(name_length, "name")
@@ -304,7 +310,7 @@ def _read_entry(r: _Reader, name: str, shape: tuple[int, ...], skip: bool = Fals
     if skip:
         r.skip(4 * math.prod(shape), f"values of {name}")
         return None
-    return r.floats(shape, f"values of {name}")
+    return r.floats(shape, f"values of {name}", out)
 
 
 def _read_moments(r: _Reader, params: list[Parameter], skip: bool = False):
@@ -323,24 +329,36 @@ def save_checkpoint(model: Model, adam_state: AdamState, path):
     """Serialize model + optimizer so that save -> load -> save is byte-identical.
 
     Each field and entry goes to the file as it is packed, so saving holds
-    no copy of the file in memory."""
+    no copy of the file in memory. The bytes go to `<path>.<pid>.tmp`, which
+    then replaces `path`, so a save that fails or is killed midway leaves the
+    file that was at `path` as it was; a failed save also removes its
+    temporary file. Nothing is fsynced, so a power loss may still lose both."""
     cfg = model.cfg
     params = model.parameters()
-    moments = (adam_state.m, adam_state.v)  # read before `path`, their source, is truncated
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(cfg.kernels)))
-        fh.write(struct.pack(f"<{len(cfg.kernels)}I", *cfg.kernels))
-        fh.write(struct.pack(_CONFIG_FORMAT, *(getattr(cfg, name) for name in _CONFIG_FIELDS)))
-        fh.write(struct.pack("<I", len(params)))
-        for p in params:
-            _write_array(fh, p.name, p.data)
-        for section in moments:
+    moments = (adam_state.m, adam_state.v)  # read before `path`, their source, is replaced
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(cfg.kernels)))
+            fh.write(struct.pack(f"<{len(cfg.kernels)}I", *cfg.kernels))
+            fh.write(struct.pack(_CONFIG_FORMAT,
+                                 *(getattr(cfg, name) for name in _CONFIG_FIELDS)))
             fh.write(struct.pack("<I", len(params)))
             for p in params:
-                _write_array(fh, p.name, section[p.name])
-        fh.write(struct.pack("<Q", adam_state.step))
+                _write_array(fh, p.name, p.data)
+            for section in moments:
+                fh.write(struct.pack("<I", len(params)))
+                for p in params:
+                    _write_array(fh, p.name, section[p.name])
+            fh.write(struct.pack("<Q", adam_state.step))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
@@ -368,11 +386,12 @@ def load_checkpoint(path) -> tuple[Model, AdamState]:
         if problems:
             raise r.error("checkpoint header holds an invalid model config: " + "; ".join(problems))
         (n_params,) = r.unpack("<I", "parameter count")
+        r.need(12 * cfg.parameter_count()[0], "parameter and moment values")
 
-        def param(name, shape, fan_in=None, fill=0.0):
-            return Parameter(_read_entry(r, name, shape), name)
+        def read(name, out, fan_in=None, fill=0.0):
+            _read_entry(r, name, out.shape, out=out)
 
-        model = assemble_model(cfg, param)
+        model = assemble_model(cfg, read, np.dtype("<f4"))
         params = model.parameters()
         if n_params != len(params):
             raise r.error(f"checkpoint has {n_params} parameters, config implies {len(params)}")

@@ -1,6 +1,7 @@
 """Brute-force reference implementations for attention and metric tests,
 the central-difference gradient check, the loss it checks the model with,
-and `tape_arrays`, a list of the arrays a tape keeps.
+`weight_buffer`, a check of a model's parameter layout, and
+`tape_arrays`, a list of the arrays a tape keeps.
 
 Deliberately naive: an explicit T x T mask and a literal masked softmax for
 attention, recursion + memo for edit distance, per-frame sets for IoU, plain
@@ -228,6 +229,22 @@ def _buffer(arr: np.ndarray) -> np.ndarray:
     while isinstance(arr.base, np.ndarray):
         arr = arr.base
     return arr
+
+
+def weight_buffer(model) -> np.ndarray:
+    """The one buffer that holds every parameter of `model`, checked: a
+    C-contiguous 1-D array that each Parameter's data views, in layout
+    order, slot after slot with no gap and nothing after the last."""
+    buf = model.weights
+    assert buf.ndim == 1 and buf.flags.c_contiguous and buf.flags.owndata
+    start, at = buf.__array_interface__["data"][0], 0
+    for p in model.parameters():
+        assert _buffer(p.data) is buf, p.name
+        assert p.data.flags.c_contiguous and p.data.dtype == buf.dtype, p.name
+        assert p.data.__array_interface__["data"][0] == start + at * buf.itemsize, p.name
+        at += p.data.size
+    assert at == buf.size
+    return buf
 
 
 def tape_arrays(loss) -> list[tuple[np.ndarray, int, str]]:

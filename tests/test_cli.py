@@ -4,6 +4,8 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -183,6 +185,49 @@ def test_train_model_too_big_for_memory_exit_2_before_allocation(tmp_path, datas
     assert captured.out == ""
     assert "GiB of physical memory" in captured.err
     assert not out.exists()
+
+
+_UNDER_RLIMIT_AS = """
+import resource, sys
+from msast import cli, model
+if sys.argv[1] == "admit":  # as if the bound had let the model through
+    model.ModelConfig.violations = lambda self: []
+mapped = resource.getpagesize() * int(open("/proc/self/statm").read().split()[0])
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (int(sys.argv[2]) << 20), resource.RLIM_INFINITY))
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+def _train_under_rlimit_as(tmp_path, dataset, headroom_mb: int, admit: bool):
+    """`train --set feature_maps=400` (2.8 GiB of weights and moments) in a
+    fresh process whose address space may grow `headroom_mb` past what it
+    maps after its imports."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    config = tmp_path / "wide.cfg"
+    config.write_text(f"data_root={dataset}\nepochs=1\n")
+    argv = ["admit" if admit else "bound", str(headroom_mb), "train", "--config", str(config),
+            "--out", str(tmp_path / "x.ckpt"), "--set", "feature_maps=400"]
+    return subprocess.run([sys.executable, "-c", _UNDER_RLIMIT_AS, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_train_model_past_rlimit_as_exit_2_before_allocation(tmp_path, dataset):
+    done = _train_under_rlimit_as(tmp_path, dataset, headroom_mb=2048, admit=False)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert "GiB that RLIMIT_AS leaves beside the" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_train_weights_that_cannot_be_allocated_exit_7(tmp_path, dataset):
+    done = _train_under_rlimit_as(tmp_path, dataset, headroom_mb=256, admit=True)
+    assert done.returncode == 7, done.stderr
+    assert "error: out of memory allocating the weights" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def _entry_bound_layers() -> int:

@@ -72,6 +72,24 @@ def test_forward_tape_keeps_only_what_backward_reads(traced):
     assert tape <= 2.91e6, f"forward tape holds {tape / 1e6:.2f} MB"
 
 
+def test_inference_working_set(traced):
+    """A no-tape pass of the default offline model at T=2000 holds, at its
+    peak, the block input, the encoder output, the fused branch sum, one
+    branch's Q, K and V, and attention's output and one chunk's scores."""
+    model = build_model(ModelConfig(input_dim=64, num_classes=7), seed=0)
+    feats = np.random.default_rng(0).normal(size=(2000, 64)).astype(np.float32)
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    forward_full(model, feats, mode="infer")
+    peak = (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    # measured 5.19 MiB, 10.6 arrays of T x C; 9.92 MiB while the block kept
+    # each branch's conv, norm and concat outputs until the next branch
+    # replaced them, a stage kept its input projection and the last decoder
+    # output, and attention kept a scaled copy of Q and built its mask in
+    # float64
+    assert peak <= 5.7, f"a T=2000 forward peaked at {peak:.2f} MiB"
+
+
 def test_unread_activation_is_freed_with_its_tensor():
     x = Parameter(np.array([[-1.5, 0.5], [2.0, -0.25]]), "x")
     h = nx.relu(x)
@@ -104,6 +122,7 @@ def test_backward_needs_no_memory_beyond_the_forward_tape(traced):
     # model's structure and the interpreter's free lists
     held = sum(sys.getsizeof(obj) for p in model.parameters()
                for obj in (p, p._node, p.name, p.data, p.grad) if obj is not None)
+    held += model.weights.nbytes  # the views above count only their headers
     held += sum(sys.getsizeof(logits.data) for logits in stages.logits)
     assert left <= held + 0.15e6, \
         f"{left / 1e6:.3f} MB still traced after backward, {held / 1e6:.3f} MB of it held"

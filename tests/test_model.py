@@ -1,3 +1,6 @@
+import io
+import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from msast import model as mdl
 from msast import numerics as nx
 from msast.attention import WindowSpec, sliding_window_attention
 from msast.errors import ConfigError, ModeError, ShapeError
@@ -21,6 +25,7 @@ from msast.model import (
 )
 from msast.numerics import Parameter, as_tensor
 
+from tests.oracles import weight_buffer
 from tests.single_scale_reference import single_scale_forward
 
 TINY = dict(input_dim=4, num_classes=3, kernels=(3, 5), layers_per_stage=2,
@@ -101,6 +106,46 @@ def test_config_rejects_even_kernels_only_when_acausal():
     assert any("odd" in p for p in bad.violations())
     ok = ModelConfig(input_dim=4, num_classes=3, kernels=(3, 4), causal=True)
     assert not ok.violations()
+
+
+def _limits_faked(monkeypatch, rlimits: dict, files: dict):
+    """Let `memory_limit` see the soft limits `rlimits` (name -> bytes) and
+    read `files` (path -> text) in place of those files, and nothing else
+    faked before."""
+    monkeypatch.undo()
+    real_getrlimit, real_open = mdl.resource.getrlimit, open
+
+    def getrlimit(which):
+        for name, soft in rlimits.items():
+            if which == getattr(mdl.resource, name):
+                return soft, mdl.resource.RLIM_INFINITY
+        return real_getrlimit(which)
+
+    def fake_open(path, *args, **kwargs):
+        return io.StringIO(files[path]) if path in files else real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(mdl.resource, "getrlimit", getrlimit)
+    monkeypatch.setattr(mdl, "open", fake_open, raising=False)
+
+
+def test_memory_bound_reads_process_and_cgroup_limits(monkeypatch):
+    cfg = ModelConfig(input_dim=64, num_classes=7)
+    need = 12 * cfg.parameter_count()[0]
+    page = os.sysconf("SC_PAGE_SIZE")
+    statm = {"/proc/self/statm": f"{(1 << 30) // page} 0 0 0 0 {(1 << 29) // page} 0\n"}
+    assert cfg.violations() == []
+    _limits_faked(monkeypatch, {"RLIMIT_AS": (1 << 30) + need // 2}, statm)
+    assert mdl.memory_limit() == (need // 2, "that RLIMIT_AS leaves beside the 1.0 GiB already mapped")
+    assert "GiB that RLIMIT_AS leaves" in " ".join(cfg.violations())
+    _limits_faked(monkeypatch, {"RLIMIT_DATA": (1 << 29) + need // 2}, statm)
+    assert mdl.memory_limit() == (need // 2, "that RLIMIT_DATA leaves beside the 0.5 GiB already mapped")
+    _limits_faked(monkeypatch, {}, {"/proc/self/cgroup": "0::/jobs/one\n",
+                                    "/sys/fs/cgroup/jobs/one/memory.max": f"{need // 2}\n"})
+    assert mdl.memory_limit() == (need // 2, "of its cgroup's memory.max")
+    assert "GiB of its cgroup's memory.max" in " ".join(cfg.violations())
+    _limits_faked(monkeypatch, {}, {"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "max\n"})
+    assert mdl.memory_limit()[1] == "of physical memory"
+    assert cfg.violations() == []
 
 
 # --- blocks -----------------------------------------------------------------------
@@ -200,6 +245,17 @@ def test_fusion_weights_initialized_to_one():
     model = tiny_model()
     mixes = [p for p in model.parameters() if p.name.endswith(".mix")]
     assert mixes and all(p.data == 1.0 for p in mixes)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("causal", [False, True])
+def test_parameters_view_one_weight_buffer_in_layout_order(dtype, causal):
+    model = build_model(ModelConfig(**{**TINY, "causal": causal}), seed=0, dtype=dtype)
+    buf = weight_buffer(model)
+    assert buf.dtype == dtype and buf.size == model.cfg.parameter_count()[0]
+    freed = weakref.ref(buf)
+    del model, buf
+    assert freed() is None, "the weight buffer outlived its model"
 
 
 def test_build_rejects_invalid_config():

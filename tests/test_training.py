@@ -5,13 +5,14 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from msast import training
 from msast.data import SynthConfig, VideoSample, generate_synthetic
-from msast.errors import DataError, FileFormatError, NumericError, ShapeError
+from msast.errors import DataError, FileFormatError, NumericError, ResourceError, ShapeError
 from msast.model import ModelConfig, StageOutputs, build_model, forward_full, predict
 from msast.numerics import Parameter, as_tensor
 from msast.training import (
@@ -25,6 +26,8 @@ from msast.training import (
     total_loss,
     train,
 )
+
+from tests.oracles import weight_buffer
 
 
 # --- cross entropy ------------------------------------------------------------
@@ -448,6 +451,61 @@ def test_checkpoint_save_streams_to_the_file(tmp_path):
     assert peak < 0.1 * size, f"saving a {size / 1e6:.1f} MB checkpoint peaked at {peak / 1e6:.1f} MB"
 
 
+def test_loaded_parameters_view_one_weight_buffer(tmp_path):
+    model, state = _fresh(seed=3)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, state, path)
+    loaded, loaded_state = load_checkpoint(path)
+    buf = weight_buffer(loaded)
+    assert np.array_equal(buf, model.weights)
+    assert [p.name for p in loaded.parameters()] == [p.name for p in model.parameters()]
+    freed = weakref.ref(buf)
+    del loaded, loaded_state, buf  # the state's deferred moment read holds the parameters
+    assert freed() is None, "the weight buffer outlived its model"
+
+
+def test_failed_save_keeps_the_old_checkpoint_and_no_temporary_file(tmp_path, monkeypatch):
+    model, state = _moments_filled(seed=3)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, state, path)
+    before = path.read_bytes()
+    other, other_state = _moments_filled(seed=4)
+    written, write_array = [], training._write_array
+
+    def fail_midway(fh, name, arr):
+        if len(written) == len(other.parameters()) + 3:  # into the first moment section
+            raise KeyboardInterrupt
+        written.append(name)
+        write_array(fh, name, arr)
+
+    monkeypatch.setattr(training, "_write_array", fail_midway)
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint(other, other_state, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+    save_checkpoint(other, other_state, path)
+    assert path.read_bytes() != before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_weights_or_moments_that_cannot_be_allocated_name_the_step(monkeypatch):
+    cfg = _toy_model().cfg
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "empty", refuse)
+        with pytest.raises(ResourceError, match="allocating the weights"):
+            build_model(cfg, seed=0)
+    model = build_model(cfg, seed=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "zeros", refuse)
+        with pytest.raises(ResourceError, match="allocating the Adam moments"):
+            AdamState.init(model)
+
+
 def test_checkpoint_load_reads_only_the_parameters(tmp_path):
     model = build_model(ModelConfig(input_dim=64, num_classes=7), seed=0)
     path = tmp_path / "m.ckpt"
@@ -507,7 +565,8 @@ def test_checkpoint_changed_after_load_rejected_on_moment_access(tmp_path, chang
     _, loaded = load_checkpoint(path)
     other, other_state = _moments_filled(seed=5)
     if change == "rewritten":  # same size, same inode
-        save_checkpoint(other, other_state, path)
+        save_checkpoint(other, other_state, tmp_path / "new.ckpt")
+        path.write_bytes((tmp_path / "new.ckpt").read_bytes())
     elif change == "replaced":
         save_checkpoint(other, other_state, tmp_path / "new.ckpt")
         os.replace(tmp_path / "new.ckpt", path)
