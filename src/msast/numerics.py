@@ -384,7 +384,7 @@ def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat *= inv
     xhat *= gain.data
     xhat += bias.data
-    out_data, xhat = xhat, None  # the output, formed in place
+    out_data, xhat = xhat, None  # it holds the output now; rebuilt() forms xhat anew
     if not _tracking(x, gain, bias):
         return Tensor(out_data)
     gd, bd, xn, gn, bn = gain.data, bias.data, x._node, gain._node, bias._node

@@ -278,8 +278,10 @@ def train(model: Model, dataset, cfg: TrainConfig, adam_state: AdamState | None 
 # All integers little-endian; arrays row-major. Writer and loader share each
 # struct format. The writer streams each field and entry to the file as it
 # packs it. The loader reads through data._Reader and checks each entry's
-# name and dims against the header's config before it sizes it. It seeks
-# over the moment values; AdamState reads them on first access.
+# name and dims against the header's config before it reads the values into
+# their slot of the model's weight buffer, which it sizes only once the file
+# holds that many values. It seeks over the moment values; AdamState reads
+# them on first access.
 
 CHECKPOINT_MAGIC = b"MSASTCK1"
 CHECKPOINT_VERSION = 1
