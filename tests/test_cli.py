@@ -214,7 +214,7 @@ def _train_under_rlimit_as(tmp_path, dataset, headroom_mb: int, admit: bool):
 
 
 def test_train_model_past_rlimit_as_exit_2_before_allocation(tmp_path, dataset):
-    done = _train_under_rlimit_as(tmp_path, dataset, headroom_mb=2048, admit=False)
+    done = _train_under_rlimit_as(tmp_path, dataset, headroom_mb=1024, admit=False)
     assert done.returncode == 2, done.stderr
     assert done.stdout == ""
     assert "GiB that RLIMIT_AS leaves beside the" in done.stderr
