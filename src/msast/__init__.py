@@ -35,6 +35,7 @@ from .metrics import (
     emit_ribbon,
     evaluate_video,
     f1_avg,
+    per_video_summary,
     segments_from_labels,
 )
 from .model import (

@@ -89,16 +89,16 @@ def _band_extent(T: int, window: int, causal: bool) -> tuple[int, int]:
 
 
 def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
-                             weight: Tensor | None = None, alpha: float = 1.0) -> Tensor:
+                             weight: Tensor, alpha: float) -> Tensor:
     """Scaled dot-product attention restricted to a sliding window, returned
     as its branch's fusion term alpha * (weight * attention).
 
     attention_t = sum over admissible t' of softmax(q_t . k_t' / sqrt(C)) v_t'.
     Causal windows cover [t-w+1, t]; acausal windows are centered, covering
     |t - t'| <= w // 2. The term is formed as the fusion forms it: the
-    product with the scalar `weight` (none: the attention itself), then the
-    scale by alpha when alpha != 1. Backward re-forms the attention output
-    rather than keeping it, and gives the weight its gradient.
+    product with the scalar `weight`, then the scale by alpha when alpha !=
+    1. Backward re-forms the attention output rather than keeping it, and
+    gives the weight its gradient.
 
     k and v hold T rows; q may hold only the last n of them, and the output
     is then those n rows (row i is position T - n + i), as a streamed step
@@ -113,20 +113,18 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
     if q.data.ndim != 2 or q.data.shape[1] < 1 or not 1 <= q.data.shape[0] <= k.data.shape[0]:
         raise ShapeError(f"attention needs n x C queries against T >= n keys, "
                          f"got q {q.data.shape}, k {k.data.shape}")
-    if weight is not None and weight.data.shape != ():
+    if weight.data.shape != ():
         raise ShapeError(f"attention weight must be a scalar, got shape {weight.data.shape}")
     (n, C), T = q.data.shape, k.data.shape[0]
     o = T - n  # position of query row 0
     vd, vn = v.data, v._node
-    weighted = () if weight is None else (weight,)
-    w_saved, wn = (None, None) if weight is None else (_saved(weight), weight._node)
+    w_saved, wn = _saved(weight), weight._node
     scale = q.data.dtype.type(alpha)
 
     def term(out):
         """alpha * (weight * out), in the fusion's order, formed in place on
         `out`, an output of this call's own."""
-        if weight is not None:
-            out *= weight.data
+        out *= weight.data
         if alpha != 1.0:
             out *= scale
         return out
@@ -135,16 +133,15 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
         """(the adjoint of weight * attention, the attention output's adjoint)."""
         if alpha != 1.0:
             g = g * scale
-        return g, (g if w_saved is None else g * _value(w_saved))
+        return g, g * _value(w_saved)
 
     def weight_grad(g, out):
         """The weight's gradient, reduced as a broadcast product's is."""
-        if wn is not None:
-            _accumulate(wn, np.ascontiguousarray((g * out).sum(axis=(0, 1))).reshape(()))
+        _accumulate(wn, np.ascontiguousarray((g * out).sum(axis=(0, 1))).reshape(()))
 
     if spec.window_size == 1:
         out_data = term(vd[o:].copy())
-        if not _tracking(v, *weighted):
+        if not _tracking(v, weight):
             return Tensor(out_data)
         v_saved = _saved(v)
 
@@ -192,7 +189,7 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
         probs /= probs.sum(axis=1, keepdims=True, out=stats[s:e, 1:])
         np.matmul(probs, vd[a:b], out=out_data[s:e])
     out_data = term(out_data)
-    if not _tracking(q, k, v, *weighted):
+    if not _tracking(q, k, v, weight):
         return Tensor(out_data)
     # q, k, v, the bias and the output are rebuilt in backward, so the tape keeps O(n) floats here
     bias = kd = None

@@ -179,8 +179,8 @@ def cmd_eval(args) -> int:
         if args.ribbon:
             mx.emit_ribbon([("pred", pred), ("gt", sample.labels)],
                            os.path.join(args.ribbon, f"{sample.id}.ppm"))
-    overall = mx.aggregate(reports, mode="overall")
-    per_video = mx.aggregate(reports, mode="per_video")
+    overall = mx.aggregate(reports)
+    per_video = mx.per_video_summary(reports)
     lines = mx.report_lines(overall)
     lines.extend(f"{key}\t{value:.4f}" for key, value in sorted(per_video.items()))
     for report in reports:

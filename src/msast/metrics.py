@@ -9,8 +9,8 @@ per ground-truth segment. No boundary relaxation anywhere.
 Every score comes from one path: `_report` turns a counts[gt][pred] matrix
 (`confusion_matrix`), the segment (tp, fp, fn) counts at each of
 `F1_THRESHOLDS` and an edit score into an `EvalReport`. `evaluate_video`
-and the pooled `aggregate(mode="overall")` differ only in the counts they
-pass in.
+and the pooled `aggregate` differ only in the counts they pass in;
+`per_video_summary` gives the mean and std of the per-video scores.
 """
 
 import colorsys
@@ -200,27 +200,12 @@ def _scalar_metrics(report: EvalReport) -> dict[str, float]:
     return out
 
 
-def aggregate(reports: list[EvalReport], mode: str = "overall"):
-    """Combine per-video reports.
-
-    mode "per_video": mean and population std of each scalar metric, as a
-    dict of "<metric>_mean"/"<metric>_std".
-    mode "overall": an EvalReport recomputed from pooled frame and segment
-    counts (edit, which has no count form, is the per-video mean).
-    """
+def aggregate(reports: list[EvalReport]) -> EvalReport:
+    """The pooled report of several videos: an EvalReport recomputed from
+    their summed frame and segment counts (edit, which has no count form, is
+    the per-video mean)."""
     if not reports:
         raise DataError("aggregate needs at least one report")
-    if mode == "per_video":
-        keys = _scalar_metrics(reports[0]).keys()
-        rows = [_scalar_metrics(r) for r in reports]
-        summary = {}
-        for key in keys:
-            values = np.array([row[key] for row in rows])
-            summary[f"{key}_mean"] = float(values.mean())
-            summary[f"{key}_std"] = float(values.std())  # population std
-        return summary
-    if mode != "overall":
-        raise DataError(f"unknown aggregate mode {mode!r}")
     shapes = {r.confusion.shape for r in reports}
     if len(shapes) != 1:
         raise DataError(f"reports have confusion matrices of different sizes: {sorted(shapes)}")
@@ -228,6 +213,20 @@ def aggregate(reports: list[EvalReport], mode: str = "overall"):
                    {t: tuple(map(sum, zip(*(r.f1_counts[t] for r in reports))))
                     for t in F1_THRESHOLDS},
                    float(np.mean([r.edit for r in reports])), None)
+
+
+def per_video_summary(reports: list[EvalReport]) -> dict[str, float]:
+    """Mean and population std over videos of each scalar metric, keyed
+    "<metric>_mean" and "<metric>_std"."""
+    if not reports:
+        raise DataError("per_video_summary needs at least one report")
+    rows = [_scalar_metrics(r) for r in reports]
+    summary = {}
+    for key in rows[0]:
+        values = np.array([row[key] for row in rows])
+        summary[f"{key}_mean"] = float(values.mean())
+        summary[f"{key}_std"] = float(values.std())  # population std
+    return summary
 
 
 def report_lines(report: EvalReport, prefix: str = "") -> list[str]:

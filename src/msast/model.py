@@ -112,7 +112,7 @@ class ModelConfig:
             if any(b <= a for a, b in zip(ks, ks[1:])):
                 problems.append(f"kernels must be strictly increasing, got {ks}")
             if not self.causal and any(k % 2 == 0 for k in ks):
-                problems.append(f"acausal models need odd kernels (symmetric conv), got {ks}")
+                problems.append(f"acausal models need odd kernels (centered conv), got {ks}")
         if self.layers_per_stage < 1:
             problems.append(f"layers_per_stage must be >= 1, got {self.layers_per_stage}")
         if self.feature_maps < 1:
@@ -255,7 +255,8 @@ class StreamState:
     """Online-inference cache, owned by a single consumer.
 
     Holds one `_BlockCache` per (stage, layer), sized from the model config
-    on the first frame; `len` is the number of frames streamed.
+    on the first frame; `len` is the number of frames streamed. A new
+    stream starts from a new state.
     """
 
     def __init__(self):
@@ -269,10 +270,6 @@ class StreamState:
     def nbytes(self) -> int:
         return sum(q.rows.nbytes for stage in self.blocks or () for c in stage
                    for q in (c.inputs, *c.keys, *c.values))
-
-    def reset(self):
-        self.frames = 0
-        self.blocks = None
 
 
 def alpha_schedule(decoder_index: int, alpha_base: float) -> float:
@@ -299,12 +296,11 @@ def block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer:
     if len(params.branches) != len(cfg.kernels):
         raise ShapeError(f"{len(cfg.kernels)} scale kernels but {len(params.branches)} branches")
     dilation = 1 << (layer - 1)
-    mode = "causal" if cfg.causal else "symmetric"
     rows = x.data.shape[0]
     src = x if cache is None else nx.as_tensor(cache.inputs.push(x.data))
     fused = None
     for j, (kernel, br) in enumerate(zip(cfg.kernels, params.branches)):
-        n = nx.relu(nx.dilated_conv1d(src, br.conv_w, br.conv_b, dilation, mode, rows))
+        n = nx.relu(nx.dilated_conv1d(src, br.conv_w, br.conv_b, dilation, cfg.causal, rows))
         if fused is None:
             fused = n  # h_base
         if not cfg.causal:

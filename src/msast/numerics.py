@@ -409,26 +409,13 @@ def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _tracked(out_data, backward, xn, gn, bn, reform=lambda: rebuilt() * gd + bd)
 
 
-def _tap_offsets(kernel: int, dilation: int, mode: str) -> list[int]:
-    """Row offset s_k of each tap k: tap k adds w_k . x[t + s_k] into y_t."""
-    if dilation < 1 or kernel < 1:
-        raise ConfigError(f"conv needs kernel >= 1 and dilation >= 1, got K={kernel}, d={dilation}")
-    if mode == "causal":
-        return [(k - (kernel - 1)) * dilation for k in range(kernel)]
-    if mode == "symmetric":
-        if kernel % 2 == 0:
-            raise ConfigError(f"symmetric conv needs odd kernel, got K={kernel}")
-        return [(k - kernel // 2) * dilation for k in range(kernel)]
-    raise ConfigError(f"unknown conv mode {mode!r}")
-
-
-def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, mode: str,
+def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, causal: bool,
                    rows: int | None = None) -> Tensor:
     """1-D dilated convolution over the time axis with zero padding.
 
     x: (T, Cin), w: (K, Cin, Cout), b: (Cout,).
     causal:     y_t = b + sum_k w_k . x[t - (K-1-k)*d]   (taps at or before t)
-    symmetric:  y_t = b + sum_k w_k . x[t + (k - K//2)*d]
+    acausal:    y_t = b + sum_k w_k . x[t + (k - K//2)*d] (odd K, centered)
     Realized per tap: y starts as b and each tap adds x[src] @ w_k into the
     rows it reaches. A tap that reads only zero padding is skipped, and its
     weight gradient stays exactly zero.
@@ -445,9 +432,14 @@ def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, mode: str,
     n = T if rows is None else rows
     if not 1 <= n <= T:
         raise ShapeError(f"conv output rows must be in [1, {T}], got {n}")
+    K = wd.shape[0]
+    if dilation < 1 or K < 1 or not (causal or K % 2):
+        raise ConfigError(f"conv needs dilation >= 1 and a kernel >= 1, odd if acausal; "
+                          f"got d={dilation}, K={K}, causal={causal}")
     o = T - n  # input row of output row 0
     taps = []
-    for k, s in enumerate(_tap_offsets(wd.shape[0], dilation, mode)):
+    for k in range(K):
+        s = (k - (K - 1 if causal else K // 2)) * dilation  # tap k adds w_k . x[t + s] into y_t
         lo, hi = max(0, -o - s), n - max(s, 0)
         if lo < hi:
             taps.append((k, slice(lo + o + s, hi + o + s), slice(lo, hi)))

@@ -32,9 +32,9 @@ class TrainConfig:
     learning_rate: float = 1e-4
     smooth_tau: float = 4.0
     smooth_lambda: float = 0.15
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     seed: int = 0
+    # adam_betas and adam_eps: class constants, not fields, assigned below
+    # from adam_step's defaults for callers that pass them on
 
     def validate(self):
         problems = []
@@ -207,6 +207,9 @@ def adam_step(params: list[Parameter], state: AdamState, lr: float,
         p.grad = None
 
 
+TrainConfig.adam_betas, TrainConfig.adam_eps = adam_step.__defaults__
+
+
 @dataclass
 class EpochStats:
     epoch: int
@@ -254,7 +257,7 @@ def train(model: Model, dataset, cfg: TrainConfig, adam_state: AdamState | None 
             if not np.isfinite(loss_value):
                 raise NumericError(f"non-finite loss at epoch {epoch}, video {sample.id}")
             loss.backward()
-            adam_step(params, adam_state, cfg.learning_rate, cfg.adam_betas, cfg.adam_eps)
+            adam_step(params, adam_state, cfg.learning_rate)
             pred = labels_from_logits(stages.final())
             correct += int((pred == sample.labels).sum())
             frames += len(sample.labels)
@@ -281,7 +284,7 @@ def train(model: Model, dataset, cfg: TrainConfig, adam_state: AdamState | None 
 # name and dims against the header's config before it reads the values into
 # their slot of the model's weight buffer, which it sizes only once the file
 # holds that many values. It seeks over the moment values; AdamState reads
-# them on first access.
+# them on first access, into the one buffer AdamState.init allocates.
 
 CHECKPOINT_MAGIC = b"MSASTCK1"
 CHECKPOINT_VERSION = 1
@@ -296,10 +299,9 @@ def _write_array(fh, name: str, arr: np.ndarray):
     fh.write(np.asarray(arr, dtype="<f4", order="C").data)  # no copy of a float32 LE array
 
 
-def _read_entry(r: _Reader, name: str, shape: tuple[int, ...], skip: bool = False, out=None):
+def _read_entry(r: _Reader, name: str, shape: tuple[int, ...], out: np.ndarray | None):
     """The next array entry, which must be `name` with dims `shape`, read
-    into `out` if given; with `skip`, its values are seeked over and None is
-    returned."""
+    into `out`; with no `out`, its values are seeked over."""
     at = r.pos
     (name_length,) = r.unpack("<H", "name length")
     raw_name = r.take(name_length, "name")
@@ -309,22 +311,24 @@ def _read_entry(r: _Reader, name: str, shape: tuple[int, ...], skip: bool = Fals
     dims = r.unpack(f"<{rank}I", f"dims of {name}")
     if dims != shape:
         raise r.error(f"parameter {name!r} at offset {at} has shape {dims}, config implies {shape}")
-    if skip:
+    if out is None:
         r.skip(4 * math.prod(shape), f"values of {name}")
-        return None
-    return r.floats(shape, f"values of {name}", out)
+    else:
+        r.floats(shape, f"values of {name}", out)
 
 
-def _read_moments(r: _Reader, params: list[Parameter], skip: bool = False):
-    """The Adam m and v sections, each a count and one entry per parameter."""
-    sections = ({}, {})
-    for section in sections:
+def _read_moments(r: _Reader, params: list[Parameter], sections=None):
+    """The Adam m and v sections, each a count and one entry per parameter,
+    read into the arrays of `sections` (m's and v's, by name); with none,
+    their values are seeked over."""
+    for section in sections or (None, None):
+        at = r.pos
         (count,) = r.unpack("<I", "moment count")
         if count != len(params):
-            raise r.error(f"moment section has {count} entries, expected {len(params)}")
+            raise r.error(f"moment section at offset {at} has {count} entries, "
+                          f"expected {len(params)}")
         for p in params:
-            section[p.name] = _read_entry(r, p.name, p.data.shape, skip)
-    return sections
+            _read_entry(r, p.name, p.data.shape, None if section is None else section[p.name])
 
 
 def save_checkpoint(model: Model, adam_state: AdamState, path):
@@ -387,18 +391,21 @@ def load_checkpoint(path) -> tuple[Model, AdamState]:
             problems.append(f"causal flag must be 0 or 1, got {header['causal']}")
         if problems:
             raise r.error("checkpoint header holds an invalid model config: " + "; ".join(problems))
+        scalars, entries = cfg.parameter_count()
+        at = r.pos
         (n_params,) = r.unpack("<I", "parameter count")
-        r.need(12 * cfg.parameter_count()[0], "parameter and moment values")
+        if n_params != entries:
+            raise r.error(f"checkpoint has {n_params} parameters at offset {at}, "
+                          f"config implies {entries}")
+        r.need(12 * scalars, "parameter and moment values")
 
         def read(name, out, fan_in=None, fill=0.0):
-            _read_entry(r, name, out.shape, out=out)
+            _read_entry(r, name, out.shape, out)
 
         model = assemble_model(cfg, read, np.dtype("<f4"))
         params = model.parameters()
-        if n_params != len(params):
-            raise r.error(f"checkpoint has {n_params} parameters, config implies {len(params)}")
         moments_at = r.pos
-        _read_moments(r, params, skip=True)
+        _read_moments(r, params)
         (step,) = r.unpack("<Q", "step counter")
         r.end()
         source = os.path.realpath(path)
@@ -410,6 +417,8 @@ def load_checkpoint(path) -> tuple[Model, AdamState]:
                 raise again.error("changed since the checkpoint was loaded; "
                                   "its Adam moments can no longer be read")
             again.skip(moments_at, "parameters")
-            return _read_moments(again, params)
+            fresh = AdamState.init(model)
+            _read_moments(again, params, (fresh.m, fresh.v))
+            return fresh.m, fresh.v
 
     return model, AdamState.read_later(read_moments, step)

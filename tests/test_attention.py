@@ -10,6 +10,12 @@ from tests.oracles import attention_mask, dense_masked_attention_backward, \
     dense_masked_attention_reference
 
 
+def plain_attention(q, k, v, spec):
+    """The attention output itself: the kernel's fusion term at a unit weight
+    and alpha 1, products with 1 that change no bit."""
+    return sliding_window_attention(q, k, v, spec, as_tensor(np.ones((), q.data.dtype)), 1.0)
+
+
 # --- window schedule ----------------------------------------------------------
 
 @pytest.mark.parametrize("kernel,layer,expected", [
@@ -117,7 +123,7 @@ def test_reference_rejects_empty_row():
 def test_window1_returns_v_exactly(rng):
     q, k, v = (as_tensor(rng.normal(size=(9, 4))) for _ in range(3))
     for causal in (True, False):
-        out = sliding_window_attention(q, k, v, WindowSpec(window_size=1, causal=causal))
+        out = plain_attention(q, k, v, WindowSpec(window_size=1, causal=causal))
         assert np.array_equal(out.data, v.data)
 
 
@@ -127,7 +133,7 @@ def test_window1_backward_is_identity_on_v(rng):
 
     for causal in (True, False):
         q, k, v = (Parameter(rng.normal(size=(9, 4)), name) for name in "qkv")
-        out = sliding_window_attention(q, k, v, WindowSpec(window_size=1, causal=causal))
+        out = plain_attention(q, k, v, WindowSpec(window_size=1, causal=causal))
         assert np.array_equal(out.data, v.data)
         g = rng.normal(size=(9, 4))
         tensor_sum(nx.mul(out, as_tensor(g))).backward()
@@ -142,19 +148,19 @@ def test_last_rows_match_full_output(rng, causal):
     for T, w in [(10, 4), (150, 70), (200, 16), (65, 1)]:
         q, k, v = (rng.normal(size=(T, 5)) for _ in range(3))
         spec = WindowSpec(window_size=w, causal=causal)
-        full = sliding_window_attention(as_tensor(q), as_tensor(k), as_tensor(v), spec).data
+        full = plain_attention(as_tensor(q), as_tensor(k), as_tensor(v), spec).data
         for n in (1, 3, 64, T):
             if n > T:
                 continue
-            got = sliding_window_attention(as_tensor(q[T - n:]), as_tensor(k), as_tensor(v), spec)
+            got = plain_attention(as_tensor(q[T - n:]), as_tensor(k), as_tensor(v), spec)
             np.testing.assert_allclose(got.data, full[T - n:], atol=1e-12,
                                        err_msg=f"T={T} w={w} n={n}")
 
 
 def test_saturated_window_equals_full_attention(rng):
     q, k, v = (rng.normal(size=(3, 4)) for _ in range(3))
-    out = sliding_window_attention(as_tensor(q), as_tensor(k), as_tensor(v),
-                                   WindowSpec(window_size=6, causal=False))
+    out = plain_attention(as_tensor(q), as_tensor(k), as_tensor(v),
+                          WindowSpec(window_size=6, causal=False))
     ref = dense_masked_attention_reference(q, k, v, np.ones((3, 3), dtype=bool))
     np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
@@ -165,11 +171,11 @@ def test_causal_rows_ignore_future_value_perturbation(rng):
         q, k = (as_tensor(rng.normal(size=(T, 3))) for _ in range(2))
         v = rng.normal(size=(T, 3))
         spec = WindowSpec(window_size=w, causal=True)
-        base = sliding_window_attention(q, k, as_tensor(v), spec).data
+        base = plain_attention(q, k, as_tensor(v), spec).data
         for t in times:
             bumped = v.copy()
             bumped[t + 1:] += 10.0
-            out = sliding_window_attention(q, k, as_tensor(bumped), spec).data
+            out = plain_attention(q, k, as_tensor(bumped), spec).data
             assert np.array_equal(out[:t + 1], base[:t + 1])
 
 
@@ -183,8 +189,8 @@ def test_matches_dense_reference_100_random_cases():
         causal = bool(rng.integers(0, 2))
         q, k, v = (rng.normal(size=(T, C)) for _ in range(3))
         ref = dense_masked_attention_reference(q, k, v, attention_mask(T, w, causal))
-        got = sliding_window_attention(as_tensor(q), as_tensor(k), as_tensor(v),
-                                       WindowSpec(window_size=w, causal=causal)).data
+        got = plain_attention(as_tensor(q), as_tensor(k), as_tensor(v),
+                              WindowSpec(window_size=w, causal=causal)).data
         worst = max(worst, float(np.abs(ref - got).max()))
     assert worst <= 1e-6, f"worst deviation from dense reference: {worst}"
 
@@ -197,8 +203,8 @@ def test_chunk_boundaries_match_reference(rng):
             q, k, v = (rng.normal(size=(T, 6)) for _ in range(3))
             for causal in (True, False):
                 ref = dense_masked_attention_reference(q, k, v, attention_mask(T, w, causal))
-                got = sliding_window_attention(as_tensor(q), as_tensor(k), as_tensor(v),
-                                               WindowSpec(window_size=w, causal=causal)).data
+                got = plain_attention(as_tensor(q), as_tensor(k), as_tensor(v),
+                                      WindowSpec(window_size=w, causal=causal)).data
                 np.testing.assert_allclose(got, ref, atol=1e-9, err_msg=f"T={T} w={w} causal={causal}")
 
 
@@ -213,7 +219,7 @@ def test_chunk_gradients_match_dense_backward(rng):
             for causal in (True, False):
                 q, k, v = (Parameter(rng.normal(size=(T, 6)), name) for name in "qkv")
                 g = rng.normal(size=(T, 6))
-                out = sliding_window_attention(q, k, v, WindowSpec(window_size=w, causal=causal))
+                out = plain_attention(q, k, v, WindowSpec(window_size=w, causal=causal))
                 tensor_sum(nx.mul(out, as_tensor(g))).backward()
                 ref = dense_masked_attention_backward(q.data, k.data, v.data,
                                                       attention_mask(T, w, causal), g)
@@ -229,8 +235,8 @@ def test_output_rows_are_convex_combinations(rng):
         causal = bool(rng.integers(0, 2))
         q, k, v = (rng.normal(size=(T, C)) for _ in range(3))
         mask = attention_mask(T, w, causal)
-        out = sliding_window_attention(as_tensor(q), as_tensor(k), as_tensor(v),
-                                       WindowSpec(window_size=w, causal=causal)).data
+        out = plain_attention(as_tensor(q), as_tensor(k), as_tensor(v),
+                              WindowSpec(window_size=w, causal=causal)).data
         for t in range(T):
             rows = v[np.flatnonzero(mask[t])]
             assert (out[t] >= rows.min(axis=0) - 1e-6).all()
@@ -241,7 +247,7 @@ def test_shape_mismatch_rejected(rng):
     q = as_tensor(rng.normal(size=(5, 3)))
     bad = as_tensor(rng.normal(size=(5, 4)))
     with pytest.raises(ShapeError):
-        sliding_window_attention(q, bad, q, WindowSpec(window_size=2, causal=True))
+        plain_attention(q, bad, q, WindowSpec(window_size=2, causal=True))
 
 
 def test_attention_gradients_match_finite_differences(rng):
@@ -255,7 +261,7 @@ def test_attention_gradients_match_finite_differences(rng):
         k = Parameter(rng.normal(size=(T, 4)), "k")
         v = Parameter(rng.normal(size=(T, 4)), "v")
         spec = WindowSpec(window_size=w, causal=causal)
-        err = finite_diff_check(lambda: tensor_sum(sliding_window_attention(q, k, v, spec)), [q, k, v])
+        err = finite_diff_check(lambda: tensor_sum(plain_attention(q, k, v, spec)), [q, k, v])
         assert err <= 1e-4
 
 
@@ -307,4 +313,4 @@ def test_non_scalar_weight_rejected(rng):
         for w in (1, 2):
             with pytest.raises(ShapeError):
                 sliding_window_attention(q, q, q, WindowSpec(window_size=w, causal=True),
-                                         as_tensor(np.ones(shape)))
+                                         as_tensor(np.ones(shape)), 1.0)

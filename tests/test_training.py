@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -159,6 +160,12 @@ def test_adam_constant_gradient_stable_steps():
     adam_step([p], state, lr=1e-3)
     second = abs(p.data[0] - before)
     assert second == pytest.approx(first, rel=0.01)
+
+
+def test_adam_constants_are_adam_step_defaults_not_config_fields():
+    assert {f.name for f in dataclasses.fields(TrainConfig)} == {
+        "epochs", "learning_rate", "smooth_tau", "smooth_lambda", "seed"}
+    assert (TrainConfig.adam_betas, TrainConfig.adam_eps) == adam_step.__defaults__
 
 
 def test_adam_rejects_non_finite_gradient():
@@ -489,7 +496,7 @@ def test_failed_save_keeps_the_old_checkpoint_and_no_temporary_file(tmp_path, mo
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_weights_or_moments_that_cannot_be_allocated_name_the_step(monkeypatch):
+def test_weights_or_moments_that_cannot_be_allocated_name_the_step(tmp_path, monkeypatch):
     cfg = _toy_model().cfg
 
     def refuse(*args, **kwargs):
@@ -504,6 +511,14 @@ def test_weights_or_moments_that_cannot_be_allocated_name_the_step(monkeypatch):
         patch.setattr(np, "zeros", refuse)
         with pytest.raises(ResourceError, match="allocating the Adam moments"):
             AdamState.init(model)
+    # a loaded checkpoint allocates its moments when it first reads them
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, AdamState.init(model), path)
+    _, state = load_checkpoint(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "zeros", refuse)
+        with pytest.raises(ResourceError, match="allocating the Adam moments"):
+            state.m
 
 
 def test_checkpoint_load_reads_only_the_parameters(tmp_path):
@@ -545,6 +560,9 @@ def test_checkpoint_moments_read_on_first_use(tmp_path):
             assert read[name].dtype == np.float32
             np.testing.assert_array_equal(read[name], value)
     assert loaded.m is loaded.m  # read once, then kept
+    # into views of one buffer, as AdamState.init lays the moments out
+    base = next(iter(loaded.m.values())).base
+    assert all(a.base is base for a in [*loaded.m.values(), *loaded.v.values()])
 
 
 def test_checkpoint_resaved_to_its_own_path_is_identical(tmp_path):
