@@ -396,6 +396,29 @@ def test_checkpoint_bytes_are_pinned(tmp_path, name, digest):
 
 
 @pytest.mark.parametrize("name, digest", [
+    ("offline", "ccf5544fb14e403fdedd69298ae37e16ad38848f66feccc89c5e2fb654ff1147"),
+    ("causal", "e3ca3f5e47f9e991e8cf0501ac7ed3c4197853226de8e2f6c61243e081ca8f6f"),
+], ids=["offline", "causal"])
+def test_trained_checkpoint_bytes_are_pinned(tmp_path, name, digest):
+    """Two train steps at T=50, each on features and labels freshly drawn
+    from the generator that then drives dropout: the checkpoint, non-zero
+    moments included, is bit-identical to the one it was pinned on."""
+    cfg = PINNED[name]
+    model = build_model(cfg, 7)
+    state = AdamState.init(model)
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        feats = rng.normal(size=(50, cfg.input_dim)).astype(np.float32)
+        labels = rng.integers(0, cfg.num_classes, size=50)
+        total_loss(forward_full(model, feats, mode="train", rng=rng), labels,
+                   TrainConfig()).backward()
+        adam_step(model.parameters(), state, lr=1e-3)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, state, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, digest", [
     ("offline", "6e0dba34bd497df447faef0359f1f7046166cebff98ad9805feacc771040806c"),
     ("causal", "13cee342c10e2f88494743d6c43494371666cc168e62ce7777d479065acde9aa"),
 ], ids=["offline", "causal"])
