@@ -169,14 +169,17 @@ def cmd_eval(args) -> int:
         check_input(model.cfg, sample.features, what=f"video {sample.id}")
     _echo("eval config", {"ckpt": args.ckpt, "data": args.data, "split": args.split,
                           "report": args.report, "ribbon": args.ribbon, "oracle": args.oracle})
-    reports = []
+    reports, preds = [], []
+    for sample in samples:  # every video's labels before any output
+        try:
+            preds.append(sample.labels.copy() if args.oracle else predict(model, sample.features))
+        except NumericError as exc:
+            raise NumericError(f"video {sample.id}: {exc}") from None
+        reports.append(mx.evaluate_video(preds[-1], sample.labels, manifest.num_classes,
+                                         video_id=sample.id))
     if args.ribbon:
         os.makedirs(args.ribbon, exist_ok=True)
-    for sample in samples:
-        pred = sample.labels.copy() if args.oracle else predict(model, sample.features)
-        reports.append(mx.evaluate_video(pred, sample.labels, manifest.num_classes,
-                                         video_id=sample.id))
-        if args.ribbon:
+        for sample, pred in zip(samples, preds):
             mx.emit_ribbon([("pred", pred), ("gt", sample.labels)],
                            os.path.join(args.ribbon, f"{sample.id}.ppm"))
     overall = mx.aggregate(reports)
@@ -220,7 +223,7 @@ def cmd_stream(args) -> int:
             start = time.perf_counter()
             logits = forward_stream(model, features[t:t + 1], state)
             seconds.append(time.perf_counter() - start)
-            fh.write(f"{int(labels_from_logits(logits)[0])}\n")
+            fh.write(f"{int(labels_from_logits(logits, t)[0])}\n")
             fh.flush()  # one prediction per frame, as it arrives
     print(f"streamed {features.shape[0]} frames to {args.out}")
     p50, p99 = 1e3 * np.percentile(seconds, [50, 99])

@@ -43,13 +43,13 @@ import numpy as np
 from . import numerics as nx
 from .attention import WindowSpec, sliding_window_attention, window_schedule
 from .data import check_class_ids
-from .errors import ConfigError, ModeError, ResourceError, ShapeError
+from .errors import ConfigError, ModeError, NumericError, ResourceError, ShapeError
 from .numerics import Parameter, Tensor, no_grad
 
 # Python objects per parameter entry beyond its floats, charged by the
-# memory bound: its Parameter, node, name and array header (366 bytes),
-# its two Adam moment views (312) and its grad's header (122), measured
-# with tracemalloc on numpy 2.4 and Python 3.11, rounded up
+# memory bound: its Parameter, node, name and array header (366 bytes) and
+# its grad's header (122), measured with tracemalloc on numpy 2.4 and Python
+# 3.11 (the moments keep none), rounded up with room for other versions
 ENTRY_BYTES = 1024
 
 
@@ -503,10 +503,15 @@ def forward_stream(model: Model, next_feature_frame: np.ndarray, state: StreamSt
     return logits
 
 
-def labels_from_logits(logits: np.ndarray) -> np.ndarray:
+def labels_from_logits(logits: np.ndarray, first_frame: int = 0) -> np.ndarray:
     """Per-row argmax of the softmax; ties go to the smaller class id. The one
     label rule, shared by `predict`, streaming and training accuracy so their
-    labels agree. `Tensor(logits)` is untracked, so no tape is built."""
+    labels agree. `Tensor(logits)` is untracked, so no tape is built. A row
+    that is not finite has no label: NumericError names its frame, row 0
+    being `first_frame`."""
+    bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+    if bad.size:
+        raise NumericError(f"non-finite logits at frame {first_frame + bad[0]}")
     probs = nx.softmax_rows(Tensor(logits)).data
     return probs.argmax(axis=1).astype(np.int64)
 

@@ -4,28 +4,28 @@ Everything is built on 2-D (or 1-D for biases, 0-D for scalars) numpy
 arrays wrapped in a minimal reverse-mode tape. Production paths run in
 float32; gradient verification re-runs the same ops in float64 (ops are
 dtype-generic and never upcast silently). All ops are pure given explicit
-RNG state, so concurrent read-only use is safe.
+RNG state. Grad mode is per thread, so threads may infer beside training;
+parameters are shared, so two threads must not train one model at once.
 """
 
 import contextlib
+import contextvars
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 
-_grad_enabled = True
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape construction inside the block (inference / numeric evals)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape construction in this thread inside the block (inference)."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 class _Node:
@@ -126,8 +126,8 @@ class Tensor:
 
         A node keeps its adjoint, its closure and its inputs' nodes; the
         arrays its closure and re-former captured are the only activations
-        held for backward (one default offline train step, Adam included,
-        peaks at 165 MB resident at T=2000 and 262 MB at T=6000). Each
+        held for backward; each has at most T rows, so the tape grows
+        linearly in T and keeps no attention scores. Each
         non-leaf node is released as soon as its closure has run: its grad,
         closure, parent links, re-former and rebuilt value are dropped, so
         those arrays are freed while the sweep goes on, and backward needs
@@ -183,7 +183,7 @@ class Parameter(Tensor):
 
 
 def _tracking(*tensors) -> bool:
-    return _grad_enabled and any(t._node is not None for t in tensors)
+    return _grad_enabled.get() and any(t._node is not None for t in tensors)
 
 
 def _tracked(out_data, backward, *nodes, reform=None) -> Tensor:

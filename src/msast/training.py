@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics as nx
 from .data import _Reader, check_class_ids
-from .errors import ConfigError, DataError, NumericError, ResourceError, ShapeError
+from .errors import ConfigError, DataError, ModeError, NumericError, ResourceError, ShapeError
 from .model import (Model, ModelConfig, StageOutputs, assemble_model, check_input,
                     forward_full, labels_from_logits)
 from .numerics import Parameter, Tensor, _accumulate, _tracked, _tracking
@@ -125,75 +125,64 @@ def total_loss(stages: StageOutputs, labels: np.ndarray, cfg: TrainConfig) -> Te
 
 
 class AdamState:
-    """Adam's first (m) and second (v) moments by parameter name, and the
-    step count. A state from `load_checkpoint` reads m and v from its file on
-    first access to either, so inference never holds them."""
+    """Adam's moments, one (2, N) buffer holding m's row then v's, each laid
+    out as `Model.weights`, and the step count. A state from
+    `load_checkpoint` holds a function that reads the moments from its file
+    on first use of `moments`, so inference never holds them."""
 
-    def __init__(self, m: dict[str, np.ndarray], v: dict[str, np.ndarray], step: int = 0):
-        self._moments = (m, v)
+    def __init__(self, moments, step: int = 0):
+        self._moments = moments
         self.step = step
 
     @classmethod
     def init(cls, model: Model) -> "AdamState":
-        """Zero moments in one buffer, m's row then v's, each in layout order
-        with a view per parameter, so that their pages cost nothing until
-        written (many small `np.zeros` would share heap pages that are
-        resident at once)."""
-        params = model.parameters()
-        ends = np.cumsum([p.data.size for p in params])
+        """Zero moments, whose pages cost nothing until a step writes them."""
         # One buffer, not one per moment: glibc raises its mmap threshold to
         # the size of a freed mapping of up to 32 MB, after which arrays up to
         # that size come from the heap. The default model's 52 MB is past that
         # cap and its 26 MB halves are not (offline inference then peaked
         # 1.3 MB higher).
         try:
-            flat = np.zeros((2, ends[-1]), model.dtype)
+            return cls(np.zeros((2, model.weights.size), model.dtype))
         except MemoryError:
-            raise ResourceError(f"out of memory allocating the Adam moments: 2 x {ends[-1]} "
-                                f"values, {2 * model.weights.nbytes / 2**30:.2f} GiB") from None
+            raise ResourceError(f"out of memory allocating the Adam moments: 2 x {model.weights.size}"
+                                f" values, {2 * model.weights.nbytes / 2**30:.2f} GiB") from None
 
-        def views(row) -> dict[str, np.ndarray]:
-            parts = np.split(row, ends[:-1])
-            return {p.name: part.reshape(p.data.shape) for p, part in zip(params, parts)}
-
-        return cls(m=views(flat[0]), v=views(flat[1]))
-
-    @classmethod
-    def read_later(cls, read_moments, step: int) -> "AdamState":
-        """A state whose moments come from `read_moments()` on first access."""
-        state = cls({}, {}, step)
-        state._moments = read_moments
-        return state
-
-    def _loaded(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    @property
+    def moments(self) -> np.ndarray:
         if callable(self._moments):
             self._moments = self._moments()
         return self._moments
 
-    @property
-    def m(self) -> dict[str, np.ndarray]:
-        return self._loaded()[0]
 
-    @property
-    def v(self) -> dict[str, np.ndarray]:
-        return self._loaded()[1]
+def _slots(params: list[Parameter], row: np.ndarray | None):
+    """Each parameter with its slot of `row`, a flat array laid out as
+    `Model.weights`, or with None when there is no row."""
+    at = 0
+    for p in params:
+        yield p, None if row is None else row[at:at + p.data.size].reshape(p.data.shape)
+        at += p.data.size
 
 
 def adam_step(params: list[Parameter], state: AdamState, lr: float,
               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
     """Bias-corrected Adam update; gradients are zeroed afterward. A
-    non-finite gradient raises NumericError before anything is updated."""
+    non-finite gradient, or moments that are not (2, the parameters' total
+    size), raise before anything is updated."""
     for p in params:
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise NumericError(f"non-finite gradient in parameter {p.name}")
+    moments = state.moments
+    size = sum(p.data.size for p in params)
+    if moments.shape != (2, size):
+        raise ShapeError(f"Adam moments of shape {moments.shape} do not fit {len(params)} "
+                         f"parameters of {size} values; expected (2, {size})")
     b1, b2 = betas
     state.step += 1
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for p in params:
+    for (p, m), (_, v) in zip(_slots(params, moments[0]), _slots(params, moments[1])):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m = state.m[p.name]
-        v = state.v[p.name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -253,6 +242,8 @@ def train(model: Model, dataset, cfg: TrainConfig, adam_state: AdamState | None 
             sample = dataset[idx]
             stages = forward_full(model, sample.features, mode="train", rng=rng)
             loss = total_loss(stages, sample.labels, cfg)
+            if not loss.requires_grad:
+                raise ModeError("the training loss has no tape: grad mode is off in this thread")
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise NumericError(f"non-finite loss at epoch {epoch}, video {sample.id}")
@@ -284,7 +275,7 @@ def train(model: Model, dataset, cfg: TrainConfig, adam_state: AdamState | None 
 # name and dims against the header's config before it reads the values into
 # their slot of the model's weight buffer, which it sizes only once the file
 # holds that many values. It seeks over the moment values; AdamState reads
-# them on first access, into the one buffer AdamState.init allocates.
+# them on first use, into the one buffer AdamState.init allocates.
 
 CHECKPOINT_MAGIC = b"MSASTCK1"
 CHECKPOINT_VERSION = 1
@@ -317,18 +308,18 @@ def _read_entry(r: _Reader, name: str, shape: tuple[int, ...], out: np.ndarray |
         r.floats(shape, f"values of {name}", out)
 
 
-def _read_moments(r: _Reader, params: list[Parameter], sections=None):
+def _read_moments(r: _Reader, params: list[Parameter], moments: np.ndarray | None = None):
     """The Adam m and v sections, each a count and one entry per parameter,
-    read into the arrays of `sections` (m's and v's, by name); with none,
+    read into the rows of `moments`, laid out as AdamState's; with none,
     their values are seeked over."""
-    for section in sections or (None, None):
+    for row in (None, None) if moments is None else moments:
         at = r.pos
         (count,) = r.unpack("<I", "moment count")
         if count != len(params):
             raise r.error(f"moment section at offset {at} has {count} entries, "
                           f"expected {len(params)}")
-        for p in params:
-            _read_entry(r, p.name, p.data.shape, None if section is None else section[p.name])
+        for p, slot in _slots(params, row):
+            _read_entry(r, p.name, p.data.shape, slot)
 
 
 def save_checkpoint(model: Model, adam_state: AdamState, path):
@@ -341,7 +332,7 @@ def save_checkpoint(model: Model, adam_state: AdamState, path):
     temporary file. Nothing is fsynced, so a power loss may still lose both."""
     cfg = model.cfg
     params = model.parameters()
-    moments = (adam_state.m, adam_state.v)  # read before `path`, their source, is replaced
+    moments = adam_state.moments  # read before `path`, their source, is replaced
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     fh = open(tmp, "xb")
     try:
@@ -355,10 +346,10 @@ def save_checkpoint(model: Model, adam_state: AdamState, path):
             fh.write(struct.pack("<I", len(params)))
             for p in params:
                 _write_array(fh, p.name, p.data)
-            for section in moments:
+            for row in moments:
                 fh.write(struct.pack("<I", len(params)))
-                for p in params:
-                    _write_array(fh, p.name, section[p.name])
+                for p, slot in _slots(params, row):
+                    _write_array(fh, p.name, slot)
             fh.write(struct.pack("<Q", adam_state.step))
         os.replace(tmp, path)
     except BaseException:
@@ -417,8 +408,8 @@ def load_checkpoint(path) -> tuple[Model, AdamState]:
                 raise again.error("changed since the checkpoint was loaded; "
                                   "its Adam moments can no longer be read")
             again.skip(moments_at, "parameters")
-            fresh = AdamState.init(model)
-            _read_moments(again, params, (fresh.m, fresh.v))
-            return fresh.m, fresh.v
+            moments = AdamState.init(model).moments
+            _read_moments(again, params, moments)
+            return moments
 
-    return model, AdamState.read_later(read_moments, step)
+    return model, AdamState(read_moments, step)

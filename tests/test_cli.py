@@ -558,6 +558,61 @@ def test_stream_matches_predict(tmp_path, dataset, causal_trained, capsys):
                             latency[0])
 
 
+def _blown_up(path, frames: int, finite: int, dim: int = 5):
+    """A feature file whose first `finite` frames are unit normal and whose
+    later values are +-5.3e37: finite, so the reader accepts them, but large
+    enough that both models' logits overflow to non-finite values."""
+    rng = np.random.default_rng(0)
+    features = rng.normal(size=(frames, dim)).astype(np.float32)
+    features[finite:] = rng.choice([-5.3e37, 5.3e37], size=(frames - finite, dim))
+    write_feature_file(path, features)
+    return features
+
+
+@pytest.mark.parametrize("model", ["trained", "causal_trained"])
+def test_predict_non_finite_logits_exit_4_without_labels(tmp_path, request, capsys, model):
+    bad = tmp_path / "big.msfeat"
+    _blown_up(bad, 75, 0)
+    out = tmp_path / "o.txt"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run("predict", "--ckpt", request.getfixturevalue(model), "--features", bad,
+                   "--out", out)
+    assert code == 4
+    assert capsys.readouterr().err == "error: non-finite logits at frame 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["trained", "causal_trained"])
+def test_eval_non_finite_logits_exit_4_names_the_video_without_output(tmp_path, dataset, request,
+                                                                      capsys, model):
+    victim = sorted((dataset / "splits" / "test.txt").read_text().split())[-1]
+    path = dataset / "features" / f"{victim}.msfeat"
+    _blown_up(path, read_feature_file(path).shape[0], 4)
+    report, ribbons = tmp_path / "report.tsv", tmp_path / "ribbons"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run("eval", "--ckpt", request.getfixturevalue(model), "--data", dataset,
+                   "--report", report, "--ribbon", ribbons)
+    assert code == 4
+    assert re.search(rf"error: video {victim}: non-finite logits at frame \d+",
+                     capsys.readouterr().err)
+    assert not report.exists() and not ribbons.exists()
+
+
+def test_stream_non_finite_logits_exit_4_keeps_the_finite_frames(tmp_path, causal_trained, capsys):
+    bad, head = tmp_path / "big.msfeat", tmp_path / "head.msfeat"
+    features = _blown_up(bad, 30, 12)
+    write_feature_file(head, features[:12])
+    expected = tmp_path / "head.txt"
+    assert run("predict", "--ckpt", causal_trained, "--features", head, "--out", expected) == 0
+    capsys.readouterr()
+    out = tmp_path / "s.txt"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run("stream", "--ckpt", causal_trained, "--features", bad, "--out", out)
+    assert code == 4
+    assert capsys.readouterr().err == "error: non-finite logits at frame 12\n"
+    assert out.read_bytes() == expected.read_bytes()  # the 12 frames before it
+
+
 def test_predict_consistent_with_eval(tmp_path, dataset, trained):
     # the report's per-video accuracy must equal accuracy recomputed from
     # cmd_predict's output on the same video

@@ -5,15 +5,17 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from msast import numerics as nx
 from msast import training
 from msast.data import SynthConfig, VideoSample, generate_synthetic
-from msast.errors import DataError, FileFormatError, NumericError, ResourceError, ShapeError
+from msast.errors import DataError, FileFormatError, ModeError, NumericError, ResourceError, ShapeError
 from msast.model import ModelConfig, StageOutputs, build_model, forward_full, predict
 from msast.numerics import Parameter, as_tensor
 from msast.training import (
@@ -129,8 +131,7 @@ def test_total_loss_mixed_stages_componentwise(rng):
 
 def _lone_param(value):
     p = Parameter(np.asarray(value, dtype=np.float64), "p")
-    state = AdamState(m={"p": np.zeros_like(p.data)}, v={"p": np.zeros_like(p.data)})
-    return p, state
+    return p, AdamState(np.zeros((2, p.data.size)))
 
 
 def test_adam_first_step_closed_form():
@@ -177,35 +178,53 @@ def test_adam_rejects_non_finite_gradient():
 
 def test_adam_non_finite_gradient_updates_nothing():
     params = [Parameter(np.full(3, float(i)), f"p{i}") for i in range(4)]
-    state = AdamState(m={p.name: np.zeros(3) for p in params},
-                      v={p.name: np.zeros(3) for p in params})
+    state = AdamState(np.zeros((2, 12)))
     for p in params:
         p.grad = np.arange(3.0) + 1
     adam_step(params, state, lr=1e-3)
     for p in params:
         p.grad = np.ones(3)
     params[-1].grad[1] = np.nan
-    before = [(p.data.copy(), state.m[p.name].copy(), state.v[p.name].copy()) for p in params]
+    before = [p.data.copy() for p in params], state.moments.copy()
     with pytest.raises(NumericError, match="p3"):
         adam_step(params, state, lr=1e-3)
     assert state.step == 1
-    for p, (data, m, v) in zip(params, before):
+    for p, data in zip(params, before[0]):
         np.testing.assert_array_equal(p.data, data)
-        np.testing.assert_array_equal(state.m[p.name], m)
-        np.testing.assert_array_equal(state.v[p.name], v)
+    np.testing.assert_array_equal(state.moments, before[1])
+
+
+@pytest.mark.parametrize("values", [11, 13], ids=["fewer", "more"])
+def test_adam_rejects_moments_of_another_size_before_any_update(values):
+    params = [Parameter(np.full(3, float(i)), f"p{i}") for i in range(4)]
+    state = AdamState(np.zeros((2, values)))
+    for p in params:
+        p.grad = np.ones(3)
+    with pytest.raises(ShapeError, match=re.escape(f"shape (2, {values}) do not fit 4 "
+                                                   "parameters of 12 values; expected (2, 12)")):
+        adam_step(params, state, lr=1e-3)
+    assert state.step == 0 and not state.moments.any()
+    assert all((p.data == i).all() and p.grad is not None for i, p in enumerate(params))
 
 
 def test_adam_init_moments_are_views_of_one_buffer_in_layout_order():
     model = _toy_model()
     params = model.parameters()
     state = AdamState.init(model)
-    views = [*state.m.values(), *state.v.values()]
-    assert list(state.m) == list(state.v) == [p.name for p in params]
-    base = views[0].base
-    assert all(a.base is base and a.shape == p.data.shape and not a.any()
-               for a, p in zip(views, params * 2))
-    base[...] = np.arange(base.size).reshape(base.shape)
-    assert np.array_equal(np.concatenate([a.ravel() for a in views]), np.arange(base.size))
+    moments = state.moments
+    assert moments.shape == (2, model.weights.size) and moments.dtype == model.dtype
+    assert moments.flags.owndata and not moments.any()
+    # one step at lr 0 leaves m = 0.1 g and v = 0.001 g^2, each parameter's
+    # slot where its values sit in the weight buffer
+    grads = [np.arange(p.data.size, dtype=p.data.dtype).reshape(p.data.shape) + i
+             for i, p in enumerate(params)]
+    for p, g in zip(params, grads):
+        p.grad = g.copy()
+    adam_step(params, state, lr=0.0)
+    assert state.moments is moments
+    flat = np.concatenate([g.ravel() for g in grads])
+    np.testing.assert_array_equal(moments[0], np.float32(1.0 - 0.9) * flat)
+    np.testing.assert_array_equal(moments[1], np.float32(1.0 - 0.999) * (flat * flat))
 
 
 def _python(script: str, **env) -> str:
@@ -321,7 +340,7 @@ def test_train_rejects_empty_and_mismatched_data():
 
 def _train_state_bytes(model, state):
     return ([p.data.tobytes() for p in model.parameters()],
-            [a.tobytes() for a in (*state.m.values(), *state.v.values())], state.step)
+            state.moments.tobytes(), state.step)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -342,6 +361,94 @@ def test_train_rejects_bad_sample_before_any_step(seed, defect):
     before = _train_state_bytes(model, state)
     with pytest.raises(error, match=f"video {bad.id}: "):
         train(model, dataset, TrainConfig(epochs=1, seed=seed), state)
+    assert _train_state_bytes(model, state) == before
+
+
+# --- grad mode across threads -------------------------------------------------------------
+
+def _in_threads(*targets, timeout=120.0):
+    """Run each target in its own thread while the interpreter switches
+    threads as often as it can, and re-raise the first error a target raised."""
+    errors = []
+
+    def guarded(target):
+        try:
+            target()
+        except Exception as exc:  # raised again in the calling thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(t,), daemon=True) for t in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), f"a thread ran past {timeout} s"
+    if errors:
+        raise errors[0]
+
+
+def test_grad_mode_is_on_after_concurrent_predict():
+    model = _toy_model()
+    features = _toy_dataset()[0].features
+
+    def predicts():
+        for _ in range(30):
+            predict(model, features)
+
+    p = model.parameters()[0]
+    for trial in range(3):
+        _in_threads(*[predicts] * 4)
+        assert nx.add(p, p).requires_grad, f"trial {trial} left grad mode off"
+
+
+def _step_digests(model, dataset) -> list[str]:
+    """The loss and gradient SHA-256 of one forward and backward per sample."""
+    rng = np.random.default_rng(5)
+    digests = []
+    for sample in dataset:
+        loss = total_loss(forward_full(model, sample.features, mode="train", rng=rng),
+                          sample.labels, TrainConfig())
+        loss.backward()
+        h = hashlib.sha256(loss.data.tobytes())
+        for p in model.parameters():
+            h.update(p.name.encode() + (b"-" if p.grad is None else p.grad.tobytes()))
+            p.grad = None
+        digests.append(h.hexdigest())
+    return digests
+
+
+def test_predict_in_another_thread_leaves_train_steps_alone():
+    dataset = _toy_dataset(videos=4)
+    alone = _step_digests(_toy_model(), dataset)
+    model, other = _toy_model(), _toy_model(seed=1)
+    stop = threading.Event()
+    beside = []
+
+    def predicts():
+        while not stop.is_set():
+            predict(other, dataset[0].features)
+
+    def steps():
+        try:
+            beside.append(_step_digests(model, dataset))
+        finally:
+            stop.set()
+
+    _in_threads(predicts, steps)
+    assert beside == [alone]
+
+
+def test_train_under_no_grad_raises_and_changes_nothing():
+    model = _toy_model()
+    state = AdamState.init(model)
+    before = _train_state_bytes(model, state)
+    with nx.no_grad(), pytest.raises(ModeError, match="grad mode is off"):
+        train(model, _toy_dataset(), TrainConfig(epochs=1), state)
     assert _train_state_bytes(model, state) == before
 
 
@@ -481,7 +588,7 @@ def test_checkpoint_save_streams_to_the_file(tmp_path):
     assert peak < 0.1 * size, f"saving a {size / 1e6:.1f} MB checkpoint peaked at {peak / 1e6:.1f} MB"
 
 
-def test_loaded_parameters_view_one_weight_buffer(tmp_path):
+def test_checkpoint_parameters_view_one_weight_buffer(tmp_path):
     model, state = _fresh(seed=3)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, state, path)
@@ -541,7 +648,7 @@ def test_weights_or_moments_that_cannot_be_allocated_name_the_step(tmp_path, mon
     with monkeypatch.context() as patch:
         patch.setattr(np, "zeros", refuse)
         with pytest.raises(ResourceError, match="allocating the Adam moments"):
-            state.m
+            state.moments
 
 
 def test_checkpoint_load_reads_only_the_parameters(tmp_path):
@@ -563,29 +670,25 @@ def test_checkpoint_load_reads_only_the_parameters(tmp_path):
 
 def _moments_filled(seed=0):
     model, state = _fresh(seed=seed)
-    rng = np.random.default_rng(seed)
-    for section in (state.m, state.v):
-        for value in section.values():
-            value[...] = rng.normal(size=value.shape)
+    state.moments[...] = np.random.default_rng(seed).normal(size=state.moments.shape)
     state.step = 5
     return model, state
 
 
-def test_checkpoint_moments_read_on_first_use(tmp_path):
+def test_checkpoint_moments_read_on_first_use(tmp_path, monkeypatch):
     model, state = _moments_filled(seed=2)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, state, path)
     _, loaded = load_checkpoint(path)
     assert loaded.step == 5
-    for saved, read in ((state.m, loaded.m), (state.v, loaded.v)):
-        assert list(read) == [p.name for p in model.parameters()]
-        for name, value in saved.items():
-            assert read[name].dtype == np.float32
-            np.testing.assert_array_equal(read[name], value)
-    assert loaded.m is loaded.m  # read once, then kept
-    # into views of one buffer, as AdamState.init lays the moments out
-    base = next(iter(loaded.m.values())).base
-    assert all(a.base is base for a in [*loaded.m.values(), *loaded.v.values()])
+    reads, read_moments = [], training._read_moments
+    monkeypatch.setattr(training, "_read_moments",
+                        lambda *args: reads.append(args) or read_moments(*args))
+    moments = loaded.moments
+    assert loaded.moments is moments and len(reads) == 1  # read once, then kept
+    # into one buffer, as AdamState.init lays the moments out
+    assert moments.flags.owndata and moments.dtype == np.float32
+    np.testing.assert_array_equal(moments, state.moments)
 
 
 def test_checkpoint_resaved_to_its_own_path_is_identical(tmp_path):
@@ -616,7 +719,7 @@ def test_checkpoint_changed_after_load_rejected_on_moment_access(tmp_path, chang
     for _ in range(2):
         with pytest.raises(FileFormatError, match=re.escape(
                 f"{os.path.realpath(path)}: changed since the checkpoint was loaded")):
-            loaded.v
+            loaded.moments
     assert loaded.step == 5
 
 
