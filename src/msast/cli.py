@@ -21,10 +21,10 @@ from .model import (ModelConfig, StreamState, build_model, check_input, forward_
                     labels_from_logits, predict)
 from .training import AdamState, TrainConfig, load_checkpoint, save_checkpoint, train
 
-MODEL_KEYS = tuple(field.name for field in dataclasses.fields(ModelConfig))
-TRAIN_KEYS = ("epochs", "learning_rate", "smooth_tau", "smooth_lambda", "seed")
-_HINTS = ModelConfig.__annotations__ | TrainConfig.__annotations__
-KEY_TYPES = {key: _HINTS[key] for key in MODEL_KEYS + TRAIN_KEYS} | {"data_root": str}
+MODEL_KEYS, TRAIN_KEYS = (tuple(field.name for field in dataclasses.fields(cls))
+                          for cls in (ModelConfig, TrainConfig))
+KEY_TYPES = {field.name: field.type for cls in (ModelConfig, TrainConfig)
+             for field in dataclasses.fields(cls)} | {"data_root": str}
 
 # synth flag -> the SynthConfig field it sets; each flag defaults to its field's default
 SYNTH_FLAGS = {"videos": "num_videos", "classes": "num_classes", "dim": "feature_dim",
@@ -46,40 +46,32 @@ _PARSERS = {
 }
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
+def _read_item(values: dict, item: str, malformed: str, where: str, line: str = ""):
+    """Parse one `key=value` item into `values`. An item with no `=` raises
+    `malformed`; an unknown key is named after `where` and before `line`."""
+    if "=" not in item:
+        raise ConfigError(malformed)
+    key, raw = (part.strip() for part in item.split("=", 1))
+    if key not in KEY_TYPES:
+        raise ConfigError(f"{where}: unknown config key {key!r}{line}")
     parse, expected = _PARSERS[KEY_TYPES[key]]
     try:
-        return parse(raw)
+        values[key] = parse(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"{key} must be {expected}, got {raw!r}") from None
 
 
-def read_run_config(path) -> dict:
-    """Flat key=value file; unknown keys are rejected."""
+def read_run_config(path, sets=()) -> dict:
+    """Flat key=value file, then each `--set` item in `sets` over it; unknown
+    keys are rejected."""
     values = {}
     for lineno, line in dio.read_text_lines(path, ConfigError):
-        if line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}: line {lineno} is not key=value: {line!r}")
-        key, raw = line.split("=", 1)
-        key = key.strip()
-        if key not in KEY_TYPES:
-            raise ConfigError(f"{path}: unknown config key {key!r} on line {lineno}")
-        values[key] = _parse_value(key, raw)
+        if not line.startswith("#"):
+            _read_item(values, line, f"{path}: line {lineno} is not key=value: {line!r}", path,
+                       f" on line {lineno}")
+    for item in sets:
+        _read_item(values, item, f"--set expects key=value, got {item!r}", "--set")
     return values
-
-
-def _apply_overrides(values: dict, sets: list[str]):
-    for item in sets or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        key = key.strip()
-        if key not in KEY_TYPES:
-            raise ConfigError(f"--set: unknown config key {key!r}")
-        values[key] = _parse_value(key, raw)
 
 
 def _echo(title: str, values: dict):
@@ -111,23 +103,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _resolve_train_config(args) -> dict:
-    values = read_run_config(args.config)
-    _apply_overrides(values, args.set)
-    explicit_decoders = "num_decoders" in values
-    if args.causal:
-        values["causal"] = True
-    values.setdefault("causal", False)
-    if not explicit_decoders:
-        values["num_decoders"] = 1 if values["causal"] else 3
-    if "data_root" not in values:
-        raise ConfigError("config must set data_root")
-    return values
-
-
 def cmd_train(args) -> int:
     _require_output_dir(args.out)
-    values = _resolve_train_config(args)
+    values = read_run_config(args.config, args.set or ())
+    values["causal"] = args.causal or values.get("causal", False)
+    values.setdefault("num_decoders", 1 if values["causal"] else 3)
+    if "data_root" not in values:
+        raise ConfigError("config must set data_root")
     manifest = dio.load_manifest(values["data_root"])
     train_set = dio.load_split(manifest, "train")
     values.setdefault("num_classes", manifest.num_classes)
@@ -138,10 +120,8 @@ def cmd_train(args) -> int:
     train_cfg.validate()
     for sample in train_set:
         check_input(model_cfg, sample.features, sample.labels, what=f"video {sample.id}")
-    resolved = dict(values, out=args.out)
-    resolved.update((k, getattr(model_cfg, k)) for k in MODEL_KEYS)
-    resolved.update((k, getattr(train_cfg, k)) for k in TRAIN_KEYS)
-    _echo("train config", resolved)
+    _echo("train config", values | dataclasses.asdict(model_cfg) | dataclasses.asdict(train_cfg)
+          | {"out": args.out})
     model = build_model(model_cfg, seed=train_cfg.seed)
     adam_state = AdamState.init(model)
     history = train(model, train_set, train_cfg, adam_state)
@@ -196,12 +176,21 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
+def _load_model_and_features(args):
+    """The checkpoint's model and the feature file of `predict` or `stream`
+    (which needs a causal model), each checked before the config is echoed."""
     _require_output_dir(args.out)
     model = load_checkpoint(args.ckpt)[0]
+    if args.command == "stream" and not model.cfg.causal:
+        raise ModeError("streaming requires a causal model")
     features = dio.read_feature_file(args.features)
     check_input(model.cfg, features, what=args.features)
-    _echo("predict config", {"ckpt": args.ckpt, "features": args.features, "out": args.out})
+    _echo(f"{args.command} config", {"ckpt": args.ckpt, "features": args.features, "out": args.out})
+    return model, features
+
+
+def cmd_predict(args) -> int:
+    model, features = _load_model_and_features(args)
     labels = predict(model, features)
     dio.write_labels(args.out, labels)
     print(f"wrote {len(labels)} predictions to {args.out}")
@@ -209,13 +198,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    _require_output_dir(args.out)
-    model = load_checkpoint(args.ckpt)[0]
-    if not model.cfg.causal:
-        raise ModeError("streaming requires a causal model")
-    features = dio.read_feature_file(args.features)
-    check_input(model.cfg, features, what=args.features)
-    _echo("stream config", {"ckpt": args.ckpt, "features": args.features, "out": args.out})
+    model, features = _load_model_and_features(args)
     state = StreamState()
     seconds = []
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -265,17 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="score ground truth against itself (sanity mode)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", help="predict labels for one feature file")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("stream", help="frame-by-frame online prediction (causal checkpoints)")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_stream)
+    for name, func, text in (
+            ("predict", cmd_predict, "predict labels for one feature file"),
+            ("stream", cmd_stream, "frame-by-frame online prediction (causal checkpoints)")):
+        p = sub.add_parser(name, help=text)
+        for flag in ("--ckpt", "--features", "--out"):
+            p.add_argument(flag, required=True)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -50,11 +50,18 @@ class DatasetManifest:
     def label_path(self, video_id: str) -> str:
         return os.path.join(self.root, "labels", f"{video_id}.txt")
 
-    def split_ids(self, split: str) -> list[str]:
-        """The ids in splits/<split>.txt, read on each call."""
+    def split_path(self, split: str) -> str:
         if split not in ("train", "test"):
             raise ConfigError(f"unknown split {split!r}, expected 'train' or 'test'")
-        return read_split(os.path.join(self.root, "splits", f"{split}.txt"))
+        return os.path.join(self.root, "splits", f"{split}.txt")
+
+    def split_ids(self, split: str) -> list[str]:
+        """The ids in splits/<split>.txt, read on each call."""
+        return read_split(self.split_path(split))
+
+    @staticmethod
+    def mapping_path(root) -> str:
+        return os.path.join(root, "mapping.txt")
 
 
 def _open_input(path, mode: str, **kwargs):
@@ -220,7 +227,7 @@ def read_split(path) -> list[str]:
 
 def load_manifest(root) -> DatasetManifest:
     """The class mapping of a dataset tree; split files are read only when asked for."""
-    return DatasetManifest(root=str(root), mapping=read_mapping(os.path.join(root, "mapping.txt")))
+    return DatasetManifest(root=str(root), mapping=read_mapping(DatasetManifest.mapping_path(root)))
 
 
 def check_class_ids(ids: np.ndarray, num_classes: int, what):
@@ -335,19 +342,17 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[VideoSample], list[VideoS
 
 def write_dataset(root, train: list[VideoSample], test: list[VideoSample],
                   mapping: dict[int, str]) -> DatasetManifest:
-    """Materialize samples in the standard directory layout."""
-    os.makedirs(os.path.join(root, "features"), exist_ok=True)
-    os.makedirs(os.path.join(root, "labels"), exist_ok=True)
-    os.makedirs(os.path.join(root, "splits"), exist_ok=True)
+    """Materialize samples in the standard directory layout; its manifest."""
+    manifest = DatasetManifest(root=str(root), mapping=dict(mapping))
+    for path in (manifest.feature_path(""), manifest.label_path(""), manifest.split_path("train")):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
     for sample in [*train, *test]:
-        write_feature_file(os.path.join(root, "features", f"{sample.id}.msfeat"), sample.features)
-        write_labels(os.path.join(root, "labels", f"{sample.id}.txt"), sample.labels)
-    with open(os.path.join(root, "mapping.txt"), "w", encoding="utf-8") as fh:
-        for cid in sorted(mapping):
-            fh.write(f"{cid} {mapping[cid]}\n")
-    for name, samples in (("train", train), ("test", test)):
-        with open(os.path.join(root, "splits", f"{name}.txt"), "w", encoding="utf-8") as fh:
-            for sample in samples:
-                fh.write(f"{sample.id}\n")
-    return load_manifest(root)
+        write_feature_file(manifest.feature_path(sample.id), sample.features)
+        write_labels(manifest.label_path(sample.id), sample.labels)
+    for path, lines in ((manifest.mapping_path(root), [f"{cid} {mapping[cid]}" for cid in sorted(mapping)]),
+                        (manifest.split_path("train"), [sample.id for sample in train]),
+                        (manifest.split_path("test"), [sample.id for sample in test])):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{line}\n" for line in lines)
+    return manifest
 

@@ -27,11 +27,12 @@ class FileFormatError(MsastError):
 
 
 class NumericError(MsastError):
-    """Non-finite loss or gradient encountered during training."""
+    """Non-finite loss or gradient in training, or non-finite logits at inference."""
 
 
 class ModeError(MsastError):
-    """Operation invoked on a model of the wrong causality mode."""
+    """Operation invoked in the wrong mode: a model of the wrong causality,
+    or training with grad mode off."""
 
 
 class ResourceError(MsastError, MemoryError):

@@ -164,6 +164,16 @@ def _slots(params: list[Parameter], row: np.ndarray | None):
         at += p.data.size
 
 
+def _fitting_moments(params: list[Parameter], state: AdamState) -> np.ndarray:
+    """`state.moments`, which must be (2, the parameters' total size)."""
+    moments = state.moments
+    size = sum(p.data.size for p in params)
+    if moments.shape != (2, size):
+        raise ShapeError(f"Adam moments of shape {moments.shape} do not fit {len(params)} "
+                         f"parameters of {size} values; expected (2, {size})")
+    return moments
+
+
 def adam_step(params: list[Parameter], state: AdamState, lr: float,
               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
     """Bias-corrected Adam update; gradients are zeroed afterward. A
@@ -172,11 +182,7 @@ def adam_step(params: list[Parameter], state: AdamState, lr: float,
     for p in params:
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise NumericError(f"non-finite gradient in parameter {p.name}")
-    moments = state.moments
-    size = sum(p.data.size for p in params)
-    if moments.shape != (2, size):
-        raise ShapeError(f"Adam moments of shape {moments.shape} do not fit {len(params)} "
-                         f"parameters of {size} values; expected (2, {size})")
+    moments = _fitting_moments(params, state)
     b1, b2 = betas
     state.step += 1
     bc1 = 1.0 - b1 ** state.step
@@ -329,10 +335,11 @@ def save_checkpoint(model: Model, adam_state: AdamState, path):
     no copy of the file in memory. The bytes go to `<path>.<pid>.tmp`, which
     then replaces `path`, so a save that fails or is killed midway leaves the
     file that was at `path` as it was; a failed save also removes its
-    temporary file. Nothing is fsynced, so a power loss may still lose both."""
+    temporary file. Moments that do not fit the model raise ShapeError before
+    anything is written. Nothing is fsynced, so a power loss may still lose both."""
     cfg = model.cfg
     params = model.parameters()
-    moments = adam_state.moments  # read before `path`, their source, is replaced
+    moments = _fitting_moments(params, adam_state)  # read before `path`, their source, is replaced
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     fh = open(tmp, "xb")
     try:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from msast.attention import WindowSpec, window_schedule
-from msast.cli import main as cli_main
 from msast.data import SynthConfig, generate_synthetic
 from msast.metrics import F1_THRESHOLDS, aggregate, evaluate_video, f1_avg, segments_from_labels
 from msast.model import ModelConfig, build_model, forward_full, predict
@@ -22,6 +21,7 @@ from tests.oracles import attention_mask, brute_edit_score, brute_f1, brute_f1_c
     frozen_total_loss, random_label_pair
 from tests.single_scale_reference import single_scale_forward
 from tests.test_attention import plain_attention
+from tests.test_cli import run
 
 
 @contextlib.contextmanager
@@ -32,10 +32,6 @@ def criterion(number: int, name: str):
         print(f"ACCEPTANCE {number} ({name}): FAIL")
         raise
     print(f"ACCEPTANCE {number} ({name}): PASS")
-
-
-def run_cli(*argv) -> int:
-    return cli_main([str(a) for a in argv])
 
 
 def test_criterion_1_f1_avg_reproduction():
@@ -120,15 +116,15 @@ def stream_env(tmp_path_factory):
     """Small synthetic dataset + causal checkpoint trained through the CLI."""
     root = tmp_path_factory.mktemp("stream")
     data = root / "data"
-    assert run_cli("synth", "--out", data, "--videos", 8, "--classes", 4, "--dim", 8,
-                   "--tmin", 30, "--tmax", 50, "--sigma", 0.8, "--stay", 0.88,
-                   "--seed", 71) == 0
+    assert run("synth", "--out", data, "--videos", 8, "--classes", 4, "--dim", 8,
+               "--tmin", 30, "--tmax", 50, "--sigma", 0.8, "--stay", 0.88,
+               "--seed", 71) == 0
     config = root / "run.cfg"
     config.write_text(
         f"data_root={data}\nkernels=3,5\nlayers_per_stage=3\nfeature_maps=16\n"
         "epochs=2\nlearning_rate=0.001\nseed=5\n")
     ckpt = root / "causal.ckpt"
-    assert run_cli("train", "--config", config, "--causal", "--out", ckpt) == 0
+    assert run("train", "--config", config, "--causal", "--out", ckpt) == 0
     return root, data, config, ckpt
 
 
@@ -140,10 +136,10 @@ def test_criterion_6_streaming_equivalence(stream_env):
         for feature_file in feature_files[:5]:
             pred_out = root / f"{feature_file.stem}.p.txt"
             stream_out = root / f"{feature_file.stem}.s.txt"
-            assert run_cli("predict", "--ckpt", ckpt, "--features", feature_file,
-                           "--out", pred_out) == 0
-            assert run_cli("stream", "--ckpt", ckpt, "--features", feature_file,
-                           "--out", stream_out) == 0
+            assert run("predict", "--ckpt", ckpt, "--features", feature_file,
+                       "--out", pred_out) == 0
+            assert run("stream", "--ckpt", ckpt, "--features", feature_file,
+                       "--out", stream_out) == 0
             assert pred_out.read_bytes() == stream_out.read_bytes(), feature_file.name
 
 
@@ -230,8 +226,8 @@ def test_criterion_10_training_determinism(stream_env):
     root, _, config, _ = stream_env
     with criterion(10, "byte-identical checkpoints for identical config+seed"):
         first, second = root / "det_a.ckpt", root / "det_b.ckpt"
-        assert run_cli("train", "--config", config, "--out", first) == 0
-        assert run_cli("train", "--config", config, "--out", second) == 0
+        assert run("train", "--config", config, "--out", first) == 0
+        assert run("train", "--config", config, "--out", second) == 0
         assert first.read_bytes() == second.read_bytes()
         model, _ = load_checkpoint(first)
         assert model.cfg.num_decoders == 3 and not model.cfg.causal

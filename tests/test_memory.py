@@ -386,9 +386,6 @@ def test_full_length_train_step_fits():
     layer_one = {f"{stage}.b0.k{k}.{w}" for stage in ("enc", "dec1", "dec2", "dec3")
                  for k in (3, 5, 17) for w in ("wq", "wk")}
     assert set(result["no_grad"]) == layer_one  # width-1 attention reads neither
-    # measured 262 MB (2 vCPUs, numpy 2.4 on OpenBLAS); 339 MB while the
-    # tape kept attention outputs, 525 MB while it also kept ReLU outputs and
-    # boolean dropout masks, 646 MB while it kept fused sums, boolean ReLU
-    # masks and layer-1 V
+    # measured 262 MB (2 vCPUs, numpy 2.4 on OpenBLAS)
     peak = result["peak_kb"] / 1024
     assert peak <= 289, f"a T=6000 train step peaked at {peak:.0f} MB"

@@ -626,6 +626,23 @@ def test_failed_save_keeps_the_old_checkpoint_and_no_temporary_file(tmp_path, mo
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("donor", ["larger", "smaller"])
+def test_save_rejects_moments_of_another_model_before_writing(tmp_path, donor):
+    model, state = _moments_filled(seed=3)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, state, path)
+    before = path.read_bytes()
+    other = build_model(dataclasses.replace(model.cfg, feature_maps={"larger": 9, "smaller": 7}[donor]),
+                        seed=0)
+    size = model.weights.size
+    with pytest.raises(ShapeError, match=re.escape(
+            f"shape (2, {other.weights.size}) do not fit {len(model.parameters())} parameters of "
+            f"{size} values; expected (2, {size})")):
+        save_checkpoint(model, AdamState.init(other), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_weights_or_moments_that_cannot_be_allocated_name_the_step(tmp_path, monkeypatch):
     cfg = _toy_model().cfg
 
