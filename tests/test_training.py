@@ -406,6 +406,15 @@ def test_grad_mode_is_on_after_concurrent_predict():
         assert nx.add(p, p).requires_grad, f"trial {trial} left grad mode off"
 
 
+def _grad_digest(loss, params) -> str:
+    """SHA-256 of the loss and of every parameter's gradient, in order ('-'
+    for a parameter with none)."""
+    h = hashlib.sha256(loss.data.tobytes())
+    for p in params:
+        h.update(p.name.encode() + (b"-" if p.grad is None else p.grad.tobytes()))
+    return h.hexdigest()
+
+
 def _step_digests(model, dataset) -> list[str]:
     """The loss and gradient SHA-256 of one forward and backward per sample."""
     rng = np.random.default_rng(5)
@@ -414,11 +423,9 @@ def _step_digests(model, dataset) -> list[str]:
         loss = total_loss(forward_full(model, sample.features, mode="train", rng=rng),
                           sample.labels, TrainConfig())
         loss.backward()
-        h = hashlib.sha256(loss.data.tobytes())
+        digests.append(_grad_digest(loss, model.parameters()))
         for p in model.parameters():
-            h.update(p.name.encode() + (b"-" if p.grad is None else p.grad.tobytes()))
             p.grad = None
-        digests.append(h.hexdigest())
     return digests
 
 
@@ -525,25 +532,26 @@ def test_trained_checkpoint_bytes_are_pinned(tmp_path, name, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name, digest", [
-    ("offline", "6e0dba34bd497df447faef0359f1f7046166cebff98ad9805feacc771040806c"),
-    ("causal", "13cee342c10e2f88494743d6c43494371666cc168e62ce7777d479065acde9aa"),
-], ids=["offline", "causal"])
-def test_train_step_gradient_bytes_are_pinned(name, digest):
-    """One forward, loss and backward at T=50: the loss and every gradient,
-    in layout order, are bit-identical to the tape they were pinned on."""
+@pytest.mark.parametrize("name, T, digest", [
+    ("offline", 50, "6e0dba34bd497df447faef0359f1f7046166cebff98ad9805feacc771040806c"),
+    ("causal", 50, "13cee342c10e2f88494743d6c43494371666cc168e62ce7777d479065acde9aa"),
+    ("offline", 129, "33250a5bf641d34f2c7d6704fadb060e706d6407a68b0ba92fbb6aec20e52241"),
+    ("causal", 129, "2568ee63f0fbc64a60923b297e93ff0b77fc5c0f9809ba55b71d6bc4448d6056"),
+], ids=["offline", "causal", "offline-T129", "causal-T129"])
+def test_train_step_gradient_bytes_are_pinned(name, T, digest):
+    """One forward, loss and backward: the loss and every gradient, in
+    layout order, are bit-identical to the tape they were pinned on. T=50
+    is one 64-row attention query chunk; T=129 is three, so chunk edges and
+    the sliced window mask are pinned too."""
     cfg = PINNED[name]
     model = build_model(cfg, 7)
     rng = np.random.default_rng(11)
-    feats = rng.normal(size=(50, cfg.input_dim)).astype(np.float32)
-    labels = rng.integers(0, cfg.num_classes, size=50)
+    feats = rng.normal(size=(T, cfg.input_dim)).astype(np.float32)
+    labels = rng.integers(0, cfg.num_classes, size=T)
     loss = total_loss(forward_full(model, feats, mode="train", rng=np.random.default_rng(12)),
                       labels, TrainConfig())
     loss.backward()
-    h = hashlib.sha256(loss.data.tobytes())
-    for p in model.parameters():
-        h.update(p.name.encode() + (b"-" if p.grad is None else p.grad.tobytes()))
-    assert h.hexdigest() == digest
+    assert _grad_digest(loss, model.parameters()) == digest
 
 
 _STEP_DIGEST = """
