@@ -117,8 +117,7 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
         raise ShapeError(f"attention weight must be a scalar, got shape {weight.data.shape}")
     (n, C), T = q.data.shape, k.data.shape[0]
     o = T - n  # position of query row 0
-    vd, vn = v.data, v._node
-    w_saved, wn = _saved(weight), weight._node
+    vd, vn, wn = v.data, v._node, weight._node
     scale = q.data.dtype.type(alpha)
 
     def term(out):
@@ -143,7 +142,7 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
         out_data = term(vd[o:].copy())
         if not _tracking(v, weight):
             return Tensor(out_data)
-        v_saved = _saved(v)
+        v_saved, w_saved = (_saved(t, "sliding_window_attention") for t in (v, weight))
 
         def backward_identity(g):
             g, ga = adjoints(g)
@@ -193,11 +192,12 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
         return Tensor(out_data)
     # q, k, v, the bias and the output are rebuilt in backward, so the tape keeps O(n) floats here
     bias = kd = None
-    saved, qn, kn = (_saved(q), _saved(k), _saved(v)), q._node, k._node
+    qn, kn = q._node, k._node
+    *saved, w_saved = (_saved(t, "sliding_window_attention") for t in (q, k, v, stats, weight))
 
     def backward(g):
         nonlocal kd
-        qd, kd, vd = (_value(t) for t in saved)
+        qd, kd, vd, stats = (_value(t) for t in saved)
         g, ga = adjoints(g)
         out, dq, dk, dv = np.empty_like(qd), np.empty_like(qd), np.zeros_like(kd), np.zeros_like(vd)
         for s, e, a, b in chunks():

@@ -6,6 +6,8 @@ float32; gradient verification re-runs the same ops in float64 (ops are
 dtype-generic and never upcast silently). All ops are pure given explicit
 RNG state. Grad mode is per thread, so threads may infer beside training;
 parameters are shared, so two threads must not train one model at once.
+`_saved` is the one place the tape keeps anything for backward, read back
+through `_value`, so `pack_hook` sees each kept array with its op.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
+_pack = contextvars.ContextVar("pack_hook", default=None)
 
 
 @contextlib.contextmanager
@@ -28,6 +31,18 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+@contextlib.contextmanager
+def pack_hook(hook):
+    """In this thread, inside the block, `_saved` calls `hook(value, op, kept)`
+    with the Tensor or array an op keeps, the op's name and what it would
+    keep, and keeps what the hook returns: `kept`, or an array equal to it."""
+    token = _pack.set(hook)
+    try:
+        yield
+    finally:
+        _pack.reset(token)
+
+
 class _Node:
     """A tracked tensor's place on the tape: its accumulated adjoint, its
     backward closure and its tracked inputs' nodes, but no forward value.
@@ -37,8 +52,8 @@ class _Node:
     forward's own operations in the forward's order, so the rebuilt value is
     bit-identical; a matmul output runs its GEMM again on the same operands,
     and a conv output its tap loop on the same input and weights.
-    A consumer whose closure reads the value keeps the node instead
-    (`_saved`); backward rebuilds the value at most once, on first read
+    A consumer whose closure reads the value keeps the node instead, as
+    `_saved` decides; backward rebuilds the value at most once, on first read
     (`value`), and drops it when the node is released. Re-formers read
     parameter arrays, so parameters must not be mutated between forward and
     backward, the same assumption every closure that captures `w.data` makes.
@@ -72,10 +87,11 @@ class Tensor:
     `grad`, `requires_grad`, `_backward` and `_parents` read through it, and
     `grad` and `_backward` write through it. Backward closures receive the
     node's output adjoint and add into each input node's grad via
-    `_accumulate`. They capture input nodes and the arrays they read, never
-    an input Tensor, so an activation no backward reads is freed as soon as
-    the forward drops it. Closures always hand over freshly allocated
-    arrays, so first assignment needs no defensive copy.
+    `_accumulate`. They capture input nodes and keep what they read only
+    through `_saved` (which `pack_hook` observes), never an input Tensor, so
+    an activation no backward reads is freed as soon as the forward drops
+    it. Closures always hand over freshly allocated arrays, so first
+    assignment needs no defensive copy.
     """
 
     __slots__ = ("data", "_node")
@@ -124,8 +140,8 @@ class Tensor:
     def backward(self):
         """Reverse-mode sweep from this scalar node; it consumes the graph.
 
-        A node keeps its adjoint, its closure and its inputs' nodes; the
-        arrays its closure and re-former captured are the only activations
+        A node keeps its adjoint, its closure and its inputs' nodes; what its
+        closure and re-former kept through `_saved` are the only activations
         held for backward; each has at most T rows, so the tape grows
         linearly in T and keeps no attention scores. Each
         non-leaf node is released as soon as its closure has run: its grad,
@@ -193,11 +209,16 @@ def _tracked(out_data, backward, *nodes, reform=None) -> Tensor:
     return out
 
 
-def _saved(t: Tensor):
-    """What a closure keeps to read t's value: t's node if it can re-form
-    the value, else the array itself."""
-    node = t._node
-    return node if node is not None and node._reform is not None else t.data
+def _saved(value, op: str):
+    """What a backward closure or re-former of `op` keeps to read `value`
+    later: a Tensor's node if the node can re-form the value, else its
+    array; an array as is. Under `pack_hook`, what the hook returns."""
+    kept = value
+    if isinstance(value, Tensor):
+        node = value._node
+        kept = node if node is not None and node._reform is not None else value.data
+    hook = _pack.get()
+    return kept if hook is None else hook(value, op, kept)
 
 
 def _value(saved) -> np.ndarray:
@@ -240,7 +261,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
     if not _tracking(a, b):
         return Tensor(out_data)
-    a_saved, b_saved, an, bn = _saved(a), _saved(b), a._node, b._node
+    a_saved, b_saved, an, bn = _saved(a, "matmul"), _saved(b, "matmul"), a._node, b._node
 
     def backward(g):
         _accumulate(an, g @ _value(b_saved).T)
@@ -279,7 +300,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul shapes incompatible: {a.data.shape} * {b.data.shape}") from exc
     if not _tracking(a, b):
         return Tensor(out_data)
-    a_saved, b_saved, an, bn = _saved(a), _saved(b), a._node, b._node
+    a_saved, b_saved, an, bn = _saved(a, "mul"), _saved(b, "mul"), a._node, b._node
     a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
@@ -310,7 +331,7 @@ def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0)
     if not _tracking(x):
         return Tensor(out_data)
-    x_saved, xn = _saved(x), x._node
+    x_saved, xn = _saved(x, "relu"), x._node
 
     def backward(g):
         _accumulate(xn, g * (_value(x_saved) > 0))
@@ -335,10 +356,10 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     out_data = x.data * (keep.astype(dtype) / dtype.type(1.0 - rate))
     if not _tracking(x):
         return Tensor(out_data)
-    bits, shape, xn = np.packbits(keep), keep.shape, x._node
+    bits, shape, xn = _saved(np.packbits(keep), "dropout"), keep.shape, x._node
 
     def backward(g):
-        mask = np.unpackbits(bits, count=g.size).view(np.bool_).reshape(shape)
+        mask = np.unpackbits(_value(bits), count=g.size).view(np.bool_).reshape(shape)
         _accumulate(xn, g * (mask.astype(dtype) / dtype.type(1.0 - rate)))
 
     return _tracked(out_data, backward, xn)
@@ -351,11 +372,12 @@ def softmax_rows(x: Tensor) -> Tensor:
     out_data = e / e.sum(axis=-1, keepdims=True)
     if not _tracking(x):
         return Tensor(out_data)
-    xn = x._node
+    out_saved, xn = _saved(out_data, "softmax_rows"), x._node
 
     def backward(g):
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        _accumulate(xn, out_data * (g - inner))
+        out = _value(out_saved)
+        inner = (g * out).sum(axis=-1, keepdims=True)
+        _accumulate(xn, out * (g - inner))
 
     return _tracked(out_data, backward, xn)
 
@@ -387,14 +409,15 @@ def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out_data, xhat = xhat, None  # it holds the output now; rebuilt() forms xhat anew
     if not _tracking(x, gain, bias):
         return Tensor(out_data)
-    gd, bd, xn, gn, bn = gain.data, bias.data, x._node, gain._node, bias._node
-    x_saved = _saved(x)
+    xn, gn, bn = x._node, gain._node, bias._node
+    x_s, mean_s, inv_s, gain_s, bias_s = (_saved(v, "temporal_norm")
+                                          for v in (x, mean, inv, gain, bias))
 
     def rebuilt():
         nonlocal xhat
         if xhat is None:
-            xhat = _value(x_saved) - mean
-            xhat *= inv
+            xhat = _value(x_s) - _value(mean_s)
+            xhat *= _value(inv_s)
         return xhat
 
     def backward(g):
@@ -402,11 +425,12 @@ def temporal_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         xh, xhat = rebuilt(), None
         _accumulate(gn, (g * xh).sum(axis=0))
         _accumulate(bn, g.sum(axis=0))
-        dxhat = g * gd
+        dxhat = g * _value(gain_s)
         term = dxhat - dxhat.mean(axis=0) - xh * (dxhat * xh).mean(axis=0)
-        _accumulate(xn, inv * term)
+        _accumulate(xn, _value(inv_s) * term)
 
-    return _tracked(out_data, backward, xn, gn, bn, reform=lambda: rebuilt() * gd + bd)
+    return _tracked(out_data, backward, xn, gn, bn,
+                    reform=lambda: rebuilt() * _value(gain_s) + _value(bias_s))
 
 
 def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, causal: bool,
@@ -427,12 +451,11 @@ def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, causal: bool,
     """
     if x.data.ndim != 2 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"conv shapes incompatible: x {x.data.shape}, w {w.data.shape}")
-    xd, wd = x.data, w.data
-    T = xd.shape[0]
+    T = x.data.shape[0]
     n = T if rows is None else rows
     if not 1 <= n <= T:
         raise ShapeError(f"conv output rows must be in [1, {T}], got {n}")
-    K = wd.shape[0]
+    K = w.data.shape[0]
     if dilation < 1 or K < 1 or not (causal or K % 2):
         raise ConfigError(f"conv needs dilation >= 1 and a kernel >= 1, odd if acausal; "
                           f"got d={dilation}, K={K}, causal={causal}")
@@ -443,21 +466,22 @@ def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, causal: bool,
         lo, hi = max(0, -o - s), n - max(s, 0)
         if lo < hi:
             taps.append((k, slice(lo + o + s, hi + o + s), slice(lo, hi)))
-    bd = b.data
 
-    def run_taps():
+    def run_taps(xd, wd, bd):
         out = np.empty((n, wd.shape[2]), dtype=np.result_type(xd, wd, bd))
         out[:] = bd
         for k, src, dst in taps:
             out[dst] += xd[src] @ wd[k]
         return out
 
-    out_data = run_taps()
+    out_data = run_taps(x.data, w.data, b.data)
     if not _tracking(x, w, b):
         return Tensor(out_data)
     xn, wn, bn = x._node, w._node, b._node
+    saved = tuple(_saved(t, "dilated_conv1d") for t in (x, w, b))
 
     def backward(g):
+        xd, wd = _value(saved[0]), _value(saved[1])
         _accumulate(bn, g.sum(axis=0))
         dw = np.zeros_like(wd)
         dx = np.zeros_like(xd)
@@ -467,7 +491,7 @@ def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, causal: bool,
         _accumulate(wn, dw)
         _accumulate(xn, dx)
 
-    return _tracked(out_data, backward, xn, wn, bn, reform=run_taps)
+    return _tracked(out_data, backward, xn, wn, bn, reform=lambda: run_taps(*map(_value, saved)))
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -479,7 +503,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     if not _tracking(a, b):
         return Tensor(out_data)
     ca, an, bn = a.data.shape[1], a._node, b._node
-    a_saved, b_saved = _saved(a), _saved(b)
+    a_saved, b_saved = _saved(a, "concat_channels"), _saved(b, "concat_channels")
 
     def backward(g):
         _accumulate(an, g[:, :ca].copy())

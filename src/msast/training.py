@@ -21,7 +21,7 @@ from .data import _Reader, check_class_ids
 from .errors import ConfigError, DataError, ModeError, NumericError, ResourceError, ShapeError
 from .model import (Model, ModelConfig, StageOutputs, assemble_model, check_input,
                     forward_full, labels_from_logits)
-from .numerics import Parameter, Tensor, _accumulate, _tracked, _tracking
+from .numerics import Parameter, Tensor, _accumulate, _saved, _tracked, _tracking, _value
 
 LOG_PROB_FLOOR = float(np.log(1e-8))
 
@@ -71,9 +71,11 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     out_data = np.asarray(-lsm[np.arange(T), labels].mean(), dtype=logits.data.dtype)
     if not _tracking(logits):
         return Tensor(out_data)
-    probs, node = np.exp(lsm), logits._node
+    kept = tuple(_saved(a, "cross_entropy_loss") for a in (np.exp(lsm), labels))
+    node = logits._node
 
     def backward(g):
+        probs, labels = (_value(a) for a in kept)
         dz = probs.copy()
         dz[np.arange(T), labels] -= 1.0
         dz *= g / T
@@ -98,9 +100,11 @@ def smoothing_loss(logits: Tensor, tau: float) -> Tensor:
     out_data = np.asarray((clipped ** 2).mean(), dtype=logits.data.dtype)
     if not _tracking(logits):
         return Tensor(out_data)
-    probs, node = np.exp(lsm), logits._node
+    kept = tuple(_saved(a, "smoothing_loss") for a in (delta, lsm, np.exp(lsm)))
+    node = logits._node
 
     def backward(g):
+        delta, lsm, probs = (_value(a) for a in kept)
         ddelta = np.where(np.abs(delta) < tau, 2.0 * delta, 0.0)
         ddelta *= g / delta.size
         dfloored = np.zeros_like(lsm)

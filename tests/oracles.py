@@ -1,16 +1,16 @@
 """Brute-force reference implementations for attention and metric tests,
 the central-difference gradient check, the loss it checks the model with,
 `weight_buffer`, a check of a model's parameter layout, and
-`tape_arrays`, a list of the arrays a tape keeps.
+`tape_arrays`, a recorder of the arrays a tape keeps, on `numerics.pack_hook`.
 
 Deliberately naive: an explicit T x T mask and a literal masked softmax for
 attention, recursion + memo for edit distance, per-frame sets for IoU, plain
 python counting loops. These never share code with the package's kernels.
 """
 
+import contextlib
 import functools
 import math
-import types
 
 import numpy as np
 
@@ -247,44 +247,24 @@ def weight_buffer(model) -> np.ndarray:
     return buf
 
 
-def tape_arrays(loss) -> list[tuple[np.ndarray, int, str]]:
-    """(buffer, bytes, op) for each distinct array the tape of `loss` keeps.
+@contextlib.contextmanager
+def tape_arrays():
+    """Record what the tapes built inside the block keep: a live view of
+    (buffer, bytes, op), one entry per distinct array.
 
-    Walks the nodes reachable from `loss`, the cells of their backward
-    closures and re-formers (through nested functions, tuples and lists) and
-    any rebuilt value a node holds. A view counts as the buffer it views.
-    `op` is the function that made the closure (`temporal_norm.<locals>.
-    backward` gives "temporal_norm"); a buffer several closures keep is
-    listed once, under the first op the walk meets. Parameter arrays that
-    closures read are listed too.
+    Every array a closure or re-former keeps passes `_saved`, so a pack
+    hook sees it with the op that keeps it; a node kept to re-form its
+    value holds no array and is not listed. A view counts as the buffer it
+    views. A buffer several ops keep is listed once, under the first op
+    that packs it. Parameter arrays that closures read are listed too.
     """
-    kept, seen = {}, set()
+    kept = {}
 
-    def scan(obj, op):
-        if isinstance(obj, np.ndarray):
-            buf = _buffer(obj)
+    def record(value, op, saved):
+        if isinstance(saved, np.ndarray):
+            buf = _buffer(saved)
             kept.setdefault(id(buf), (buf, buf.nbytes, op))
-        elif isinstance(obj, (tuple, list)):
-            for item in obj:
-                scan(item, op)
-        elif isinstance(obj, types.FunctionType) and obj.__closure__ and id(obj) not in seen:
-            seen.add(id(obj))
-            for cell in obj.__closure__:
-                try:
-                    contents = cell.cell_contents
-                except ValueError:  # a cell not yet bound
-                    continue
-                scan(contents, op)
+        return saved
 
-    stack = [] if loss._node is None else [loss._node]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node._backward is not None:
-            scan(node._backward, node._backward.__qualname__.split(".")[0])
-        if node._reform is not None:
-            scan((node._reform, node._value), node._reform.__qualname__.split(".")[0])
-        stack.extend(reversed(node._parents))
-    return list(kept.values())
+    with nx.pack_hook(record):
+        yield kept.values()

@@ -13,13 +13,20 @@ and V, its O(T x window) probabilities or its output, which backward
 re-forms chunk by chunk; a block's fused branch sum is kept once, by the
 out-projection GEMM. Backward consumes the tape as it runs, so it needs
 little memory beyond what the forward pass left and keeps almost nothing
-once done. One step of the default offline model at T=6000, Adam update
-included, peaks at about 262 MB resident (339 MB while the tape kept the
-attention outputs, 525 MB while it also kept ReLU outputs and boolean
-dropout masks); `test_full_length_train_step_fits` holds it there.
+once done. `test_full_length_train_step_fits` holds one step of the
+default offline model at T=6000, Adam update included, under 289 MB
+resident.
+
+Everything the tape keeps passes `numerics._saved`, so `tape_arrays`
+lists it from `numerics.pack_hook`. Two more hooks check that one keep
+point: keeping every value as an array, so that no re-former runs, and
+spoiling every packed original before backward each leave every gradient
+byte as it was.
 """
 
 import collections
+import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -30,26 +37,29 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msast import model as mdl
 from msast import numerics as nx
 from msast.attention import WindowSpec, sliding_window_attention
-from msast.model import ModelConfig, build_model, forward_full
+from msast.model import ModelConfig, StreamState, build_model, forward_full, forward_stream, predict
 from msast.numerics import Parameter
 from msast.training import TrainConfig, total_loss
 
 from .oracles import tape_arrays
 from .test_attention import plain_attention
+from .test_training import _grad_digest
 
 TINY = ModelConfig(input_dim=8, num_classes=4, kernels=(3, 5), layers_per_stage=4,
                    feature_maps=16, num_decoders=2)
 
 
-def train_graph(T=1000):
-    model = build_model(TINY, seed=0)
+def train_graph(T=1000, cfg=TINY):
+    model = build_model(cfg, seed=0)
     rng = np.random.default_rng(0)
-    feats = rng.normal(size=(T, TINY.input_dim)).astype(np.float32)
-    labels = rng.integers(0, TINY.num_classes, size=T)
+    feats = rng.normal(size=(T, cfg.input_dim)).astype(np.float32)
+    labels = rng.integers(0, cfg.num_classes, size=T)
     stages = forward_full(model, feats, mode="train", rng=np.random.default_rng(1))
     return model, stages, total_loss(stages, labels, TrainConfig())
 
@@ -165,14 +175,14 @@ def test_decoder_tape_keeps_no_concat_or_norm_output(monkeypatch):
             made.append((_op.__name__, out))
             return out
         monkeypatch.setattr(nx, name, record)
-    _, stages, loss = train_graph(T=50)
+    with tape_arrays() as kept:
+        _, stages, loss = train_graph(T=50)
     monkeypatch.undo()
     # decoder blocks past layer 1 read [n | enc_out]; every acausal branch normalizes
     assert collections.Counter(op for op, _ in made) == {
         "concat_channels": TINY.num_decoders * (TINY.layers_per_stage - 1) * len(TINY.kernels),
         "temporal_norm": (1 + TINY.num_decoders) * TINY.layers_per_stage * len(TINY.kernels)}
     outputs = {id(t.data): op for op, t in made}
-    kept = tape_arrays(loss)
     assert [(op, outputs[id(buf)]) for buf, _, op in kept if id(buf) in outputs] == []
     masks = [buf for buf, _, op in kept if op == "dropout"]
     assert len(masks) == (1 + TINY.num_decoders) * TINY.layers_per_stage
@@ -197,13 +207,15 @@ def test_attention_tape_keeps_no_query_key_or_value(monkeypatch):
         return sliding_window_attention(q, k, v, spec, *fusion)
 
     monkeypatch.setattr(mdl, "sliding_window_attention", record)
-    _, stages, loss = train_graph(T=50)
+    with tape_arrays() as kept:
+        _, stages, loss = train_graph(T=50)
     monkeypatch.undo()
     assert len(made) == (1 + TINY.num_decoders) * (TINY.layers_per_stage - 1) * len(TINY.kernels)
     projections = [t for qkv in made for t in qkv]
     ids = {id(t.data) for t in projections}
     assert len(ids) == 3 * len(made)
-    assert [op for buf, _, op in tape_arrays(loss) if id(buf) in ids] == []
+    assert [op for buf, _, op in kept if id(buf) in ids] == []
+    del kept
 
     values = [(t._node, t.data.tobytes(), weakref.ref(t.data)) for t in projections]
     del made[:], projections
@@ -239,11 +251,11 @@ def test_attention_outputs_are_not_kept(monkeypatch):
 
     monkeypatch.setattr(mdl, "sliding_window_attention", record)
     monkeypatch.setattr(nx, "add", record_add)
-    model, stages, loss = train_graph(T=50)
+    with tape_arrays() as kept:
+        model, stages, loss = train_graph(T=50)
     monkeypatch.undo()
     blocks, scales = (1 + TINY.num_decoders) * TINY.layers_per_stage, len(TINY.kernels)
     assert len(terms) == blocks * scales
-    kept = tape_arrays(loss)
     assert [op for buf, _, op in kept if any(buf is t.data for t in terms)] == []
     forms = {(a.shape, a.tobytes()) for a in outputs + [t.data for t in terms]}
     assert [op for buf, _, op in kept if (buf.shape, buf.tobytes()) in forms] == []
@@ -280,13 +292,15 @@ def test_conv_and_relu_outputs_are_re_formed_once_not_kept(monkeypatch):
             made.append((_op.__name__, out))
             return out
         monkeypatch.setattr(nx, name, record)
-    _, stages, loss = train_graph(T=50)
+    with tape_arrays() as kept:
+        _, stages, loss = train_graph(T=50)
     monkeypatch.undo()
     branches = (1 + TINY.num_decoders) * TINY.layers_per_stage * len(TINY.kernels)
     assert collections.Counter(op for op, _ in made) == {"dilated_conv1d": branches,
                                                          "relu": branches}
     ids = {id(t.data) for _, t in made}
-    assert [op for buf, _, op in tape_arrays(loss) if id(buf) in ids] == []
+    assert [op for buf, _, op in kept if id(buf) in ids] == []
+    del kept
 
     values = [(t._node, t.data.tobytes(), weakref.ref(t.data)) for _, t in made]
     del made[:]
@@ -308,21 +322,20 @@ def test_conv_and_relu_outputs_are_re_formed_once_not_kept(monkeypatch):
 
 
 def test_relu_keeps_one_bit_per_element(monkeypatch):
-    made, relu = [], nx.relu  # (node, input size) of every relu
+    made, relu = [], nx.relu  # (bytes kept, input size) of every relu
 
     def record(x):
-        out = relu(x)
-        made.append((out._node, x.data.size))
+        with tape_arrays() as kept:
+            out = relu(x)
+        made.append((sum(nbytes for _, nbytes, _ in kept), x.data.size))
         return out
 
     monkeypatch.setattr(nx, "relu", record)
     train_graph(T=50)
     monkeypatch.undo()
     assert len(made) == (1 + TINY.num_decoders) * TINY.layers_per_stage * len(TINY.kernels)
-    for node, size in made:
-        kept = [cell.cell_contents for cell in node._backward.__closure__
-                if isinstance(cell.cell_contents, np.ndarray)]
-        assert sum(a.nbytes for a in kept) <= math.ceil(size / 8)
+    for nbytes, size in made:
+        assert nbytes <= math.ceil(size / 8)
 
 
 def test_layer_one_tape_keeps_no_value(monkeypatch):
@@ -335,11 +348,13 @@ def test_layer_one_tape_keeps_no_value(monkeypatch):
         return out
 
     monkeypatch.setattr(mdl, "sliding_window_attention", record)
-    _, stages, loss = train_graph(T=50)
+    with tape_arrays() as kept:
+        _, stages, loss = train_graph(T=50)
     monkeypatch.undo()
     assert len(made) == (1 + TINY.num_decoders) * len(TINY.kernels)
     ids = {id(t.data) for vo in made for t in vo}
-    assert [op for buf, _, op in tape_arrays(loss) if id(buf) in ids] == []
+    assert [op for buf, _, op in kept if id(buf) in ids] == []
+    del kept
 
     # the output is the branch's fusion term, a new array that nothing re-forms
     values = [(v._node, v.data.tobytes(), weakref.ref(v.data)) for v, _ in made]
@@ -350,6 +365,92 @@ def test_layer_one_tape_keeps_no_value(monkeypatch):
     assert all(ref() is None for ref in outs), "the tape keeps a layer-1 term"
     for node, forward, _ in values:
         assert node._reform().tobytes() == forward
+
+
+def test_untracked_passes_pack_nothing():
+    packs = []  # the op of every pack
+
+    def record(value, op, kept):
+        packs.append(op)
+        return kept
+
+    feats = np.random.default_rng(0).normal(size=(70, TINY.input_dim)).astype(np.float32)
+    causal, state = build_model(dataclasses.replace(TINY, causal=True), seed=0), StreamState()
+    with nx.pack_hook(record):
+        predict(build_model(TINY, seed=0), feats)
+        for frame in feats[:3]:
+            forward_stream(causal, frame, state)
+    assert packs == []
+
+
+def _step_digest(cfg, T, hook=None, before_backward=lambda: None):
+    """`_grad_digest` of one train step whose tape is built under `hook`."""
+    with contextlib.nullcontext() if hook is None else nx.pack_hook(hook):
+        model, _, loss = train_graph(T, cfg)
+    before_backward()
+    loss.backward()
+    return _grad_digest(loss, model.parameters())
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gradients_are_the_same_with_every_value_kept(data):
+    """With each value kept as an array, no re-former runs: the loss and
+    every gradient are byte-identical to the re-forming tape's, at and
+    across attention chunk edges."""
+    causal = data.draw(st.booleans())
+    extra = data.draw(st.lists(st.integers(4, 17).filter(lambda k: causal or k % 2),
+                               max_size=2, unique=True))
+    cfg = ModelConfig(input_dim=data.draw(st.integers(1, 6)),
+                      num_classes=data.draw(st.integers(2, 5)), kernels=(3, *sorted(extra)),
+                      layers_per_stage=data.draw(st.integers(1, 5)),
+                      feature_maps=data.draw(st.integers(1, 8)),
+                      num_decoders=data.draw(st.integers(1, 2)), causal=causal,
+                      dropout=data.draw(st.sampled_from([0.25, 0.5])))
+    T = data.draw(st.sampled_from([63, 64, 65, 128, 129]))
+    nodes = []  # what the re-forming tape would keep as a node
+
+    def keep_arrays(value, op, kept):
+        if isinstance(kept, nx._Node):
+            nodes.append(op)
+            return value.data
+        return kept
+
+    assert _step_digest(cfg, T, keep_arrays) == _step_digest(cfg, T)
+    assert nodes
+
+
+def _spoil(a: np.ndarray):
+    """Overwrite `a` in place: NaN for floats, inverted bits for packed bits,
+    an out-of-range value for other integers."""
+    if a.dtype.kind == "f":
+        a[...] = np.nan
+    elif a.dtype == np.uint8:
+        np.invert(a, out=a)
+    else:
+        a[...] = np.iinfo(a.dtype).max
+
+
+@pytest.mark.parametrize("causal", [False, True], ids=["offline", "causal"])
+def test_backward_reads_only_what_was_packed(causal):
+    """The tape keeps a copy of each packed array and every original is
+    spoiled before backward: a closure or re-former that read an array it
+    kept outside `_saved` would change a gradient byte or raise."""
+    cfg = dataclasses.replace(TINY, causal=causal)
+    originals = {}
+
+    def keep_copy(value, op, kept):
+        if isinstance(kept, np.ndarray):
+            originals[id(kept)] = kept
+            return kept.copy()
+        return kept
+
+    def spoil_originals():
+        for a in originals.values():
+            _spoil(a)
+
+    assert _step_digest(cfg, 129, keep_copy, spoil_originals) == _step_digest(cfg, 129)
+    assert {a.dtype.kind for a in originals.values()} == {"f", "i", "u"}
 
 
 _FULL_LENGTH_STEP = """
