@@ -35,7 +35,8 @@ def no_grad():
 def pack_hook(hook):
     """In this thread, inside the block, `_saved` calls `hook(value, op, kept)`
     with the Tensor or array an op keeps, the op's name and what it would
-    keep, and keeps what the hook returns: `kept`, or an array equal to it."""
+    keep, and keeps what the hook returns: `kept`, or an array equal to it.
+    A None hook is no hook."""
     token = _pack.set(hook)
     try:
         yield

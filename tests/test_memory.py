@@ -25,7 +25,6 @@ byte as it was.
 """
 
 import collections
-import contextlib
 import dataclasses
 import json
 import math
@@ -215,7 +214,6 @@ def test_attention_tape_keeps_no_query_key_or_value(monkeypatch):
     ids = {id(t.data) for t in projections}
     assert len(ids) == 3 * len(made)
     assert [op for buf, _, op in kept if id(buf) in ids] == []
-    del kept
 
     values = [(t._node, t.data.tobytes(), weakref.ref(t.data)) for t in projections]
     del made[:], projections
@@ -300,7 +298,6 @@ def test_conv_and_relu_outputs_are_re_formed_once_not_kept(monkeypatch):
                                                          "relu": branches}
     ids = {id(t.data) for _, t in made}
     assert [op for buf, _, op in kept if id(buf) in ids] == []
-    del kept
 
     values = [(t._node, t.data.tobytes(), weakref.ref(t.data)) for _, t in made]
     del made[:]
@@ -354,7 +351,6 @@ def test_layer_one_tape_keeps_no_value(monkeypatch):
     assert len(made) == (1 + TINY.num_decoders) * len(TINY.kernels)
     ids = {id(t.data) for vo in made for t in vo}
     assert [op for buf, _, op in kept if id(buf) in ids] == []
-    del kept
 
     # the output is the branch's fusion term, a new array that nothing re-forms
     values = [(v._node, v.data.tobytes(), weakref.ref(v.data)) for v, _ in made]
@@ -385,7 +381,7 @@ def test_untracked_passes_pack_nothing():
 
 def _step_digest(cfg, T, hook=None, before_backward=lambda: None):
     """`_grad_digest` of one train step whose tape is built under `hook`."""
-    with contextlib.nullcontext() if hook is None else nx.pack_hook(hook):
+    with nx.pack_hook(hook):
         model, _, loss = train_graph(T, cfg)
     before_backward()
     loss.backward()
@@ -420,17 +416,6 @@ def test_gradients_are_the_same_with_every_value_kept(data):
     assert nodes
 
 
-def _spoil(a: np.ndarray):
-    """Overwrite `a` in place: NaN for floats, inverted bits for packed bits,
-    an out-of-range value for other integers."""
-    if a.dtype.kind == "f":
-        a[...] = np.nan
-    elif a.dtype == np.uint8:
-        np.invert(a, out=a)
-    else:
-        a[...] = np.iinfo(a.dtype).max
-
-
 @pytest.mark.parametrize("causal", [False, True], ids=["offline", "causal"])
 def test_backward_reads_only_what_was_packed(causal):
     """The tape keeps a copy of each packed array and every original is
@@ -445,9 +430,14 @@ def test_backward_reads_only_what_was_packed(causal):
             return kept.copy()
         return kept
 
-    def spoil_originals():
+    def spoil_originals():  # NaN floats, inverted mask bits, out-of-range labels
         for a in originals.values():
-            _spoil(a)
+            if a.dtype.kind == "f":
+                a[...] = np.nan
+            elif a.dtype == np.uint8:
+                np.invert(a, out=a)
+            else:
+                a[...] = np.iinfo(a.dtype).max
 
     assert _step_digest(cfg, 129, keep_copy, spoil_originals) == _step_digest(cfg, 129)
     assert {a.dtype.kind for a in originals.values()} == {"f", "i", "u"}
