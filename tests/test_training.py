@@ -127,6 +127,44 @@ def test_total_loss_mixed_stages_componentwise(rng):
     assert got == pytest.approx(expected, rel=1e-6)
 
 
+def _loss_and_stages(loss_of, T=129, stages=4):
+    """`loss_of(stages, labels)` on seeded float32 logit leaves, wide enough
+    that log-probs pass the floor and deltas pass tau, and the SHA-256 of
+    the loss and of each stage's gradient after backward."""
+    rng = np.random.default_rng(21)
+    logits = [Parameter((8 * rng.normal(size=(T, 7))).astype(np.float32), f"s{i}")
+              for i in range(stages)]
+    labels = rng.integers(0, 7, size=T)
+    loss = loss_of(logits, labels)
+    loss.backward()
+    h = hashlib.sha256(loss.data.tobytes())
+    for s in logits:
+        h.update(b"-" if s.grad is None else s.grad.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("loss_of, T, stages, digest", [
+    (lambda s, y: total_loss(StageOutputs(s), y, TrainConfig()), 129, 4,
+     "ca1d8d2371011a22fd5704ee72f1430c8f53fc01d6393840a1b681b8bcd0c461"),
+    (lambda s, y: total_loss(StageOutputs(s), y, TrainConfig(smooth_lambda=0.0)), 129, 4,
+     "fd1753ea1ff3c51109776a9237a1af2626b4f1d9a9860b35972960171b342344"),
+    (lambda s, y: cross_entropy_loss(s[0], y), 129, 1,
+     "05443a52e5bd2c118fbf67647dd9ca04e90affb09aac4290a0d6db9f80fa73a8"),
+    (lambda s, y: smoothing_loss(s[0], 4.0), 129, 1,
+     "5c3c1b8a95d7386b78c85a7895ef2f6c45b50ac5d4e9aa687409d8a0f16f6440"),
+], ids=["total", "total-lambda0", "cross-entropy", "smoothing"])
+def test_loss_bytes_are_pinned(loss_of, T, stages, digest):
+    """The loss and each stage's logits gradient are bit-identical to the
+    ones they were pinned on."""
+    assert _loss_and_stages(loss_of, T, stages) == digest
+
+
+def test_single_frame_smoothing_bytes_are_pinned():
+    with pytest.warns(UserWarning, match="T >= 2"):
+        digest = _loss_and_stages(lambda s, y: smoothing_loss(s[0], 4.0), T=1, stages=1)
+    assert digest == "ce2460cd51397dfd738e38ccfaaae93dede2f5be24da93debf4466b2af44eaec"
+
+
 # --- adam ---------------------------------------------------------------------------
 
 def _lone_param(value):
