@@ -125,14 +125,6 @@ class Tensor:
     def _parents(self):
         return () if self._node is None else self._node._parents
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.data.shape}")

@@ -2,9 +2,11 @@
 
 Every stage is supervised with cross-entropy plus a truncated MSE on
 consecutive-frame log-probabilities (the over-segmentation smoother); the
-previous frame is treated as constant for gradients. Training is batch
-size 1 video, shuffled per epoch by one seeded generator that also drives
-dropout, so a (seed, data, config) triple fixes every parameter byte.
+previous frame is treated as constant for gradients. The sum over stages is
+one tape op, which forms and keeps each stage's log-softmax and
+probabilities once for both terms. Training is batch size 1 video, shuffled
+per epoch by one seeded generator that also drives dropout, so a (seed,
+data, config) triple fixes every parameter byte.
 """
 
 import contextlib
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics as nx
 from .data import _Reader, check_class_ids
 from .errors import ConfigError, DataError, ModeError, NumericError, ResourceError, ShapeError
 from .model import (Model, ModelConfig, StageOutputs, assemble_model, check_input,
@@ -55,33 +56,65 @@ class TrainConfig:
             raise ConfigError("invalid train config: " + "; ".join(problems))
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _stage_losses(stages: list[Tensor], labels, tau: float, lam: float) -> Tensor:
+    """One tape node for the sum over stages of cross-entropy (none without
+    `labels`) + `lam` * smoothing loss (none at `lam` 0). Each stage's
+    log-softmax and probabilities are formed and kept once for both terms."""
+    labels = None if labels is None else np.asarray(labels)
+    total, kept = None, []
+    for logits in stages:
+        z, (T, C) = logits.data, logits.data.shape
+        shifted = z - z.max(axis=1, keepdims=True)
+        lsm = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        term = delta = None
+        if labels is not None:
+            if labels.shape != (T,):
+                raise ShapeError(f"labels shape {labels.shape} does not match logits rows {T}")
+            check_class_ids(labels, C, "labels")
+            term = np.asarray(-lsm[np.arange(T), labels].mean(), dtype=z.dtype)
+        if lam != 0.0:
+            if T < 2:
+                warnings.warn("smoothing_loss needs T >= 2; returning 0", stacklevel=3)
+                smooth = np.zeros((), dtype=z.dtype)
+            else:
+                floored = np.maximum(lsm, LOG_PROB_FLOOR)
+                delta = floored[1:] - floored[:-1]
+                smooth = np.asarray((np.minimum(np.abs(delta), tau) ** 2).mean(), dtype=z.dtype)
+            smooth = smooth * z.dtype.type(lam)
+            term = smooth if term is None else term + smooth
+        total = term if total is None else total + term
+        if _tracking(logits) and (labels is not None or delta is not None):
+            arrays = (np.exp(lsm),) if delta is None else (np.exp(lsm), lsm, delta)
+            kept.append((logits._node, tuple(_saved(a, "total_loss") for a in arrays)))
+    if not kept:
+        return Tensor(total)
+    kept_labels = None if labels is None else _saved(labels, "total_loss")
+
+    def backward(g):
+        labels = _value(kept_labels)
+        for node, saved in kept:
+            probs, *smoothed = map(_value, saved)
+            if labels is not None:
+                dz = probs.copy()
+                dz[np.arange(len(labels)), labels] -= 1.0
+                dz *= g / len(labels)
+            if smoothed:
+                lsm, delta = smoothed
+                ddelta = np.where(np.abs(delta) < tau, 2.0 * delta, 0.0)
+                ddelta *= g * g.dtype.type(lam) / delta.size
+                dfloored = np.zeros_like(lsm)
+                dfloored[1:] = ddelta  # previous-frame term is constant
+                dlsm = dfloored * (lsm > LOG_PROB_FLOOR)
+                dsmooth = dlsm - probs * dlsm.sum(axis=1, keepdims=True)
+                dz = dsmooth if labels is None else np.add(dz, dsmooth, out=dz)
+            _accumulate(node, dz)
+
+    return _tracked(total, backward, *(node for node, _ in kept))
 
 
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean over frames of -log softmax(logits)[label]."""
-    labels = np.asarray(labels)
-    T, C = logits.data.shape
-    if labels.shape != (T,):
-        raise ShapeError(f"labels shape {labels.shape} does not match logits rows {T}")
-    check_class_ids(labels, C, "labels")
-    lsm = _log_softmax(logits.data)
-    out_data = np.asarray(-lsm[np.arange(T), labels].mean(), dtype=logits.data.dtype)
-    if not _tracking(logits):
-        return Tensor(out_data)
-    kept = tuple(_saved(a, "cross_entropy_loss") for a in (np.exp(lsm), labels))
-    node = logits._node
-
-    def backward(g):
-        probs, labels = (_value(a) for a in kept)
-        dz = probs.copy()
-        dz[np.arange(T), labels] -= 1.0
-        dz *= g / T
-        _accumulate(node, dz)
-
-    return _tracked(out_data, backward, node)
+    return _stage_losses([logits], labels, 0.0, 0.0)
 
 
 def smoothing_loss(logits: Tensor, tau: float) -> Tensor:
@@ -89,43 +122,12 @@ def smoothing_loss(logits: Tensor, tau: float) -> Tensor:
     log-probability change from the previous frame (previous frame detached;
     log-probs floored at log 1e-8).
     """
-    T = logits.data.shape[0]
-    if T < 2:
-        warnings.warn("smoothing_loss needs T >= 2; returning 0", stacklevel=2)
-        return Tensor(np.zeros((), dtype=logits.data.dtype))
-    lsm = _log_softmax(logits.data)
-    floored = np.maximum(lsm, LOG_PROB_FLOOR)
-    delta = floored[1:] - floored[:-1]
-    clipped = np.minimum(np.abs(delta), tau)
-    out_data = np.asarray((clipped ** 2).mean(), dtype=logits.data.dtype)
-    if not _tracking(logits):
-        return Tensor(out_data)
-    kept = tuple(_saved(a, "smoothing_loss") for a in (delta, lsm, np.exp(lsm)))
-    node = logits._node
-
-    def backward(g):
-        delta, lsm, probs = (_value(a) for a in kept)
-        ddelta = np.where(np.abs(delta) < tau, 2.0 * delta, 0.0)
-        ddelta *= g / delta.size
-        dfloored = np.zeros_like(lsm)
-        dfloored[1:] = ddelta  # previous-frame term is constant
-        dlsm = dfloored * (lsm > LOG_PROB_FLOOR)
-        dz = dlsm - probs * dlsm.sum(axis=1, keepdims=True)
-        _accumulate(node, dz)
-
-    return _tracked(out_data, backward, node)
+    return _stage_losses([logits], None, tau, 1.0)
 
 
 def total_loss(stages: StageOutputs, labels: np.ndarray, cfg: TrainConfig) -> Tensor:
     """Sum over stages of cross-entropy + smooth_lambda * smoothing loss."""
-    total = None
-    for logits in stages.logits:
-        term = cross_entropy_loss(logits, labels)
-        if cfg.smooth_lambda != 0.0:
-            smooth = smoothing_loss(logits, cfg.smooth_tau)
-            term = nx.add(term, nx.scale(smooth, cfg.smooth_lambda))
-        total = term if total is None else nx.add(total, term)
-    return total
+    return _stage_losses(stages.logits, labels, cfg.smooth_tau, cfg.smooth_lambda)
 
 
 class AdamState:

@@ -42,7 +42,8 @@ from hypothesis import strategies as st
 from msast import model as mdl
 from msast import numerics as nx
 from msast.attention import WindowSpec, sliding_window_attention
-from msast.model import ModelConfig, StreamState, build_model, forward_full, forward_stream, predict
+from msast.model import (ModelConfig, StageOutputs, StreamState, build_model, forward_full,
+                         forward_stream, predict)
 from msast.numerics import Parameter
 from msast.training import TrainConfig, total_loss
 
@@ -361,6 +362,25 @@ def test_layer_one_tape_keeps_no_value(monkeypatch):
     assert all(ref() is None for ref in outs), "the tape keeps a layer-1 term"
     for node, forward, _ in values:
         assert node._reform().tobytes() == forward
+
+
+def test_loss_is_one_node_keeping_one_probability_array_per_stage():
+    """`total_loss` adds one node over the stage logits. It keeps per stage
+    one probability array, which both terms read, the log-probs and the
+    frame deltas, and the labels once."""
+    T, C = 129, 7
+    rng = np.random.default_rng(0)
+    stages = [Parameter(rng.normal(size=(T, C)).astype(np.float32), f"s{i}") for i in range(4)]
+    labels = rng.integers(0, C, size=T)
+    with tape_arrays() as kept:
+        loss = total_loss(StageOutputs(stages), labels, TrainConfig())
+    exp = [np.exp(s.data - s.data.max(axis=1, keepdims=True)) for s in stages]
+    probs = [[buf.shape == (T, C) and np.allclose(buf, e / e.sum(axis=1, keepdims=True))
+              for buf, _, _ in kept].count(True) for e in exp]
+    assert probs == [1] * len(stages)
+    assert len(kept) == 3 * len(stages) + 1
+    assert sum(nbytes for _, nbytes, _ in kept) == len(stages) * (2 * T + T - 1) * C * 4 + T * 8
+    assert loss._parents == tuple(s._node for s in stages)
 
 
 def test_untracked_passes_pack_nothing():
