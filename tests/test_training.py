@@ -127,10 +127,10 @@ def test_total_loss_mixed_stages_componentwise(rng):
     assert got == pytest.approx(expected, rel=1e-6)
 
 
-def _loss_and_stages(loss_of, T=129, stages=4):
-    """`loss_of(stages, labels)` on seeded float32 logit leaves, wide enough
-    that log-probs pass the floor and deltas pass tau, and the SHA-256 of
-    the loss and of each stage's gradient after backward."""
+def _loss_digest(loss_of, T=129, stages=4):
+    """The SHA-256 of `loss_of(stages, labels)` and of each stage's gradient
+    after backward, on seeded float32 logit leaves wide enough that log-probs
+    pass the floor and deltas pass tau."""
     rng = np.random.default_rng(21)
     logits = [Parameter((8 * rng.normal(size=(T, 7))).astype(np.float32), f"s{i}")
               for i in range(stages)]
@@ -156,12 +156,12 @@ def _loss_and_stages(loss_of, T=129, stages=4):
 def test_loss_bytes_are_pinned(loss_of, T, stages, digest):
     """The loss and each stage's logits gradient are bit-identical to the
     ones they were pinned on."""
-    assert _loss_and_stages(loss_of, T, stages) == digest
+    assert _loss_digest(loss_of, T, stages) == digest
 
 
 def test_single_frame_smoothing_bytes_are_pinned():
     with pytest.warns(UserWarning, match="T >= 2"):
-        digest = _loss_and_stages(lambda s, y: smoothing_loss(s[0], 4.0), T=1, stages=1)
+        digest = _loss_digest(lambda s, y: smoothing_loss(s[0], 4.0), T=1, stages=1)
     assert digest == "ce2460cd51397dfd738e38ccfaaae93dede2f5be24da93debf4466b2af44eaec"
 
 
