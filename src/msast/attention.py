@@ -2,7 +2,9 @@
 
 The window grows with depth on a per-kernel schedule: width 1 in the first
 layer, then (k-1) * 2^(l-2) in layer l, which doubles per layer and lands
-on 512 (k=3), 1024 (k=5) and 4096 (k=17) at layer 10.
+on 512 (k=3), 1024 (k=5) and 4096 (k=17) at layer 10. A width-1 window
+attends each row to itself alone, so attention there is V; the model's
+block forms that term itself and calls this kernel from layer 2 on.
 
 `sliding_window_attention` is one query-chunked kernel, the sliding-chunks
 scheme of Longformer (Beltagy et al. 2020) with FlashAttention-style query
@@ -102,8 +104,7 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
 
     k and v hold T rows; q may hold only the last n of them, and the output
     is then those n rows (row i is position T - n + i), as a streamed step
-    needs against its cached keys and values. A width-1 window is the
-    identity on v: no scores are formed, and q and k get no gradient.
+    needs against its cached keys and values.
     """
     if k.data.shape != v.data.shape or q.data.shape[1:] != k.data.shape[1:]:
         raise ShapeError(
@@ -117,42 +118,9 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
         raise ShapeError(f"attention weight must be a scalar, got shape {weight.data.shape}")
     (n, C), T = q.data.shape, k.data.shape[0]
     o = T - n  # position of query row 0
-    vd, vn, wn = v.data, v._node, weight._node
-    scale = q.data.dtype.type(alpha)
-
-    def term(out):
-        """alpha * (weight * out), in the fusion's order, formed in place on
-        `out`, an output of this call's own."""
-        out *= weight.data
-        if alpha != 1.0:
-            out *= scale
-        return out
-
-    def adjoints(g):
-        """(the adjoint of weight * attention, the attention output's adjoint)."""
-        if alpha != 1.0:
-            g = g * scale
-        return g, g * _value(w_saved)
-
-    def weight_grad(g, out):
-        """The weight's gradient, reduced as a broadcast product's is."""
-        _accumulate(wn, np.ascontiguousarray((g * out).sum(axis=(0, 1))).reshape(()))
-
-    if spec.window_size == 1:
-        out_data = term(vd[o:].copy())
-        if not _tracking(v, weight):
-            return Tensor(out_data)
-        v_saved, w_saved = (_saved(t, "sliding_window_attention") for t in (v, weight))
-
-        def backward_identity(g):
-            g, ga = adjoints(g)
-            _accumulate(vn, np.pad(ga, ((o, 0), (0, 0))))
-            weight_grad(g, _value(v_saved)[o:])
-
-        return _tracked(out_data, backward_identity, vn, wn)
     left, right = _band_extent(T, spec.window_size, spec.causal)
-    inv_sqrt = q.data.dtype.type(1.0 / math.sqrt(C))
-    kd = k.data
+    inv_sqrt, scale = q.data.dtype.type(1.0 / math.sqrt(C)), q.data.dtype.type(alpha)
+    kd, vd = k.data, v.data
     bias = None
 
     def scores(qc, s, e, a, b):
@@ -187,18 +155,22 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=1, keepdims=True, out=stats[s:e, 1:])
         np.matmul(probs, vd[a:b], out=out_data[s:e])
-    out_data = term(out_data)
+    out_data *= weight.data  # the term in the fusion's order: weight, then alpha
+    if alpha != 1.0:
+        out_data *= scale
     if not _tracking(q, k, v, weight):
         return Tensor(out_data)
     # q, k, v, the bias and the output are rebuilt in backward, so the tape keeps O(n) floats here
     bias = kd = None
-    qn, kn = q._node, k._node
+    qn, kn, vn, wn = q._node, k._node, v._node, weight._node
     *saved, w_saved = (_saved(t, "sliding_window_attention") for t in (q, k, v, stats, weight))
 
     def backward(g):
         nonlocal kd
         qd, kd, vd, stats = (_value(t) for t in saved)
-        g, ga = adjoints(g)
+        if alpha != 1.0:
+            g = g * scale
+        ga = g * _value(w_saved)  # the attention output's adjoint
         out, dq, dk, dv = np.empty_like(qd), np.empty_like(qd), np.zeros_like(kd), np.zeros_like(vd)
         for s, e, a, b in chunks():
             # the forward's operations in its order, so probs and out are bit-identical
@@ -220,6 +192,6 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
         _accumulate(qn, dq)
         _accumulate(kn, dk)
         _accumulate(vn, dv)
-        weight_grad(g, out)
+        _accumulate(wn, np.ascontiguousarray((g * out).sum(axis=(0, 1))).reshape(()))
 
     return _tracked(out_data, backward, qn, kn, vn, wn)

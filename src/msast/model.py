@@ -11,12 +11,14 @@ scale kernel, attends within that scale's window, and fuses the branches:
 with h_base the kernel-3 branch, mix_j learned scalars, and alpha 1 in the
 encoder and first decoder, then decaying by alpha_base per decoder. Each
 attention call returns its branch's term alpha * (mix_j * attn_j), and the
-block adds the terms to h_base in branch order. The tape keeps no attention
-output; the out-projection GEMM keeps the fused sum, one T x C array per
-block. With or without a tape, a branch's attention runs while the block
-holds only its input, enc_out, the fused sum and that branch's Q, K and V:
-the block drops each branch's conv, norm and concat outputs once they are
-read, and a stage its input projection once its first block has read it.
+block adds the terms to h_base in branch order. In layer 1 every window is
+width 1, so attn_j is V itself: the block forms the term as mix_j * V, then
+times alpha, and forms no Q or K. The tape keeps no attention output; the
+out-projection GEMM keeps the fused sum, one T x C array per block. With or
+without a tape, a branch's attention runs while the block holds only its
+input, enc_out, the fused sum and that branch's Q, K and V: the block drops
+each branch's conv, norm and concat outputs once they are read, and a stage
+its input projection once its first block has read it.
 
 A model's parameters share one buffer, `Model.weights`, in layout order
 (see `assemble_model`); dropping the model frees it whole.
@@ -307,20 +309,25 @@ def block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer:
             n = nx.temporal_norm(n, params.norm_gain, params.norm_bias)
         spec = WindowSpec.from_schedule(kernel, layer, cfg.causal)
         v = nx.matmul(n, br.wv)
-        if cache is not None:
-            v = nx.as_tensor(cache.values[j].push(v.data))
-        if spec.window_size == 1:
-            q = k = v  # a width-1 window returns v and reads neither q nor k
+        if spec.window_size == 1:  # attention is v itself; q, k and the cache go unread
+            del n
+            term = nx.mul(br.mix, v)
+            if alpha != 1.0:
+                term = nx.scale(term, alpha)
         else:
+            if cache is not None:
+                v = nx.as_tensor(cache.values[j].push(v.data))
             if enc_out is not None:
                 n = nx.concat_channels(n, enc_out)
             q = nx.matmul(n, br.wq)
             k = nx.matmul(n, br.wk)
             if cache is not None:
                 k = nx.as_tensor(cache.keys[j].push(k.data))
-        del n  # attention reads only q, k and v
-        fused = nx.add(fused, sliding_window_attention(q, k, v, spec, br.mix, alpha))
-        del q, k, v
+            del n  # attention reads only q, k and v
+            term = sliding_window_attention(q, k, v, spec, br.mix, alpha)
+            del q, k
+        fused = nx.add(fused, term)
+        del v, term
     proj = nx.add(nx.matmul(fused, params.out_w), params.out_b)
     return nx.add(x, nx.dropout(proj, cfg.dropout, rng))
 
@@ -517,5 +524,20 @@ def labels_from_logits(logits: np.ndarray, first_frame: int = 0) -> np.ndarray:
 
 
 def predict(model: Model, features: np.ndarray) -> np.ndarray:
-    """Per-frame labels of the final stage (see labels_from_logits)."""
-    return labels_from_logits(forward_full(model, features, mode="infer").final())
+    """Per-frame labels of the final stage (see labels_from_logits). A causal
+    full pass lets masked-out non-finite values reach earlier rows of their
+    chunk (0 * inf is NaN), so on that error alone a causal model bisects
+    over prefixes and names the end of the shortest one not all finite."""
+    try:
+        return labels_from_logits(forward_full(model, features, mode="infer").final())
+    except NumericError:
+        if not model.cfg.causal:
+            raise
+    good, bad = 0, len(features)  # prefix lengths: all finite, and not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if np.isfinite(forward_full(model, features[:mid]).final()).all():
+            good = mid
+        else:
+            bad = mid
+    raise NumericError(f"non-finite logits at frame {bad - 1}")

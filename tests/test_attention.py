@@ -127,19 +127,53 @@ def test_window1_returns_v_exactly(rng):
         assert np.array_equal(out.data, v.data)
 
 
-def test_window1_backward_is_identity_on_v(rng):
-    from msast.numerics import Parameter
+def test_window1_backward_is_identity_on_v(rng, monkeypatch):
+    """Every layer-1 window is width 1, and the block forms that branch term
+    itself, with no kernel call: bitwise alpha * (mix * v), whose adjoint
+    reaches V times alpha and mix (the identity at 1) and Q and K not at all."""
+    from msast import model as mdl
     from tests.test_numerics import tensor_sum
 
+    def no_kernel(*args):
+        raise AssertionError("layer 1 called the attention kernel")
+
     for causal in (True, False):
-        q, k, v = (Parameter(rng.normal(size=(9, 4)), name) for name in "qkv")
-        out = plain_attention(q, k, v, WindowSpec(window_size=1, causal=causal))
-        assert np.array_equal(out.data, v.data)
-        g = rng.normal(size=(9, 4))
-        tensor_sum(nx.mul(out, as_tensor(g))).backward()
-        assert np.array_equal(v.grad, g)
-        for p in (q, k):
-            assert p.grad is None or not p.grad.any()
+        cfg = mdl.ModelConfig(input_dim=4, num_classes=3, kernels=(3, 5), layers_per_stage=1,
+                              feature_maps=4, num_decoders=2, causal=causal)
+        model = mdl.build_model(cfg, seed=0)
+        x, enc_out = (as_tensor(rng.normal(size=(9, 4)).astype(np.float32)) for _ in range(2))
+        g = rng.normal(size=(9, 4)).astype(np.float32)
+        # an alpha that is not a power of 2 rounds, so the order of the products shows
+        for stage, alpha, mix, enc in ((model.encoder, 1.0, 1.0, None),
+                                       (model.decoders[1], 0.3, -0.7, enc_out)):
+            blk = stage.blocks[0]
+            for j, br in enumerate(blk.branches):
+                br.mix.data[...] = mix
+                addends = []  # the block's first sums add its branch terms, in branch order
+
+                def record(a, b, _add=nx.add):
+                    addends.append(b)
+                    return _add(a, b)
+
+                monkeypatch.setattr(nx, "add", record)
+                monkeypatch.setattr(mdl, "sliding_window_attention", no_kernel)
+                mdl.block_forward(x, enc, blk, 1, alpha, cfg)
+                monkeypatch.undo()
+                term = addends[j]
+                with nx.no_grad():
+                    n = nx.relu(nx.dilated_conv1d(x, br.conv_w, br.conv_b, 1, causal))
+                    n = n if causal else nx.temporal_norm(n, blk.norm_gain, blk.norm_bias)
+                v = n.data @ br.wv.data
+                expect, v_adjoint = v * br.mix.data, g
+                if alpha != 1.0:
+                    expect, v_adjoint = expect * np.float32(alpha), g * np.float32(alpha)
+                assert term.data.tobytes() == expect.tobytes()
+                for p in model.parameters():
+                    p.grad = None
+                tensor_sum(nx.mul(term, as_tensor(g))).backward()
+                assert br.wv.grad.tobytes() == (n.data.T @ (v_adjoint * br.mix.data)).tobytes()
+                for other in blk.branches:
+                    assert other.wq.grad is None and other.wk.grad is None
 
 
 @pytest.mark.parametrize("causal", [True, False])

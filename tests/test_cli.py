@@ -613,6 +613,24 @@ def test_stream_non_finite_logits_exit_4_keeps_the_finite_frames(tmp_path, causa
     assert out.read_bytes() == expected.read_bytes()  # the 12 frames before it
 
 
+def test_causal_commands_name_the_same_non_finite_frame(tmp_path, dataset, causal_trained, capsys):
+    # a full pass's row 0 is not finite here; predict and eval bisect to the frame stream names
+    bad = tmp_path / "big.msfeat"
+    _blown_up(bad, 30, 12)
+    victim = sorted((dataset / "splits" / "test.txt").read_text().split())[-1]
+    path = dataset / "features" / f"{victim}.msfeat"
+    _blown_up(path, read_feature_file(path).shape[0], 12)
+    errors = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for command, *argv in (("predict", "--features", bad, "--out", tmp_path / "p.txt"),
+                               ("stream", "--features", bad, "--out", tmp_path / "s.txt"),
+                               ("eval", "--data", dataset, "--report", tmp_path / "r.tsv")):
+            assert run(command, "--ckpt", causal_trained, *argv) == 4
+            errors.append(capsys.readouterr().err)
+    frame = "non-finite logits at frame 12\n"
+    assert errors == [f"error: {frame}", f"error: {frame}", f"error: video {victim}: {frame}"]
+
+
 def test_predict_consistent_with_eval(tmp_path, dataset, trained):
     # the report's per-video accuracy must equal accuracy recomputed from
     # cmd_predict's output on the same video

@@ -15,7 +15,8 @@ out-projection GEMM. Backward consumes the tape as it runs, so it needs
 little memory beyond what the forward pass left and keeps almost nothing
 once done. `test_full_length_train_step_fits` holds one step of the
 default offline model at T=6000, Adam update included, under 289 MB
-resident.
+resident, and `test_full_length_train_steps_hold_a_steady_peak` three steps
+under 312 MB.
 
 Everything the tape keeps passes `numerics._saved`, so `tape_arrays`
 lists it from `numerics.pack_hook`. Two more hooks check that one keep
@@ -199,11 +200,10 @@ def test_decoder_tape_keeps_no_concat_or_norm_output(monkeypatch):
 
 
 def test_attention_tape_keeps_no_query_key_or_value(monkeypatch):
-    made = []  # (q, k, v) of every attention call that forms scores
+    made = []  # (q, k, v) of every attention call; layer 1 makes none
 
     def record(q, k, v, spec, *fusion):
-        if spec.window_size > 1:  # a width-1 window returns v itself
-            made.append((q, k, v))
+        made.append((q, k, v))
         return sliding_window_attention(q, k, v, spec, *fusion)
 
     monkeypatch.setattr(mdl, "sliding_window_attention", record)
@@ -236,27 +236,41 @@ def _composed(q, k, v, spec, weight, alpha):
 
 
 def test_attention_outputs_are_not_kept(monkeypatch):
-    terms, sums, outputs = [], [], []  # branch terms, (addend, sum) pairs, attention outputs
+    # attention outputs (layer 1's is v itself), every kernel, mul and scale
+    # output (layer 1 forms its terms with mul and scale), and (addend, sum) pairs
+    outputs, formed, sums = [], [], []
 
     def record(q, k, v, spec, weight, alpha):
         with nx.no_grad():
             outputs.append(plain_attention(q, k, v, spec).data)
-        terms.append(sliding_window_attention(q, k, v, spec, weight, alpha))
-        return terms[-1]
+        formed.append(sliding_window_attention(q, k, v, spec, weight, alpha))
+        return formed[-1]
+
+    def record_mul(a, b, _mul=nx.mul):
+        outputs.append(b.data)
+        formed.append(_mul(a, b))
+        return formed[-1]
+
+    def record_scale(a, c, _scale=nx.scale):
+        formed.append(_scale(a, c))
+        return formed[-1]
 
     def record_add(a, b, _add=nx.add):
         sums.append((b, _add(a, b)))
         return sums[-1][1]
 
     monkeypatch.setattr(mdl, "sliding_window_attention", record)
+    monkeypatch.setattr(nx, "mul", record_mul)
+    monkeypatch.setattr(nx, "scale", record_scale)
     monkeypatch.setattr(nx, "add", record_add)
     with tape_arrays() as kept:
         model, stages, loss = train_graph(T=50)
     monkeypatch.undo()
     blocks, scales = (1 + TINY.num_decoders) * TINY.layers_per_stage, len(TINY.kernels)
+    terms = [b for b, _ in sums if any(b is t for t in formed)]
     assert len(terms) == blocks * scales
-    assert [op for buf, _, op in kept if any(buf is t.data for t in terms)] == []
-    forms = {(a.shape, a.tobytes()) for a in outputs + [t.data for t in terms]}
+    assert [op for buf, _, op in kept if any(buf is t.data for t in formed)] == []
+    forms = {(a.shape, a.tobytes()) for a in outputs + [t.data for t in formed]}
     assert [op for buf, _, op in kept if (buf.shape, buf.tobytes()) in forms] == []
     # a block's fused sum is the one that adds its last branch's term; the
     # out-projection GEMM keeps it, and no partial sum is kept
@@ -267,7 +281,7 @@ def test_attention_outputs_are_not_kept(monkeypatch):
     assert len(fused) == blocks and len(partial) == blocks * (scales - 1)
     assert [op for buf, _, op in kept if id(buf) in fused] == ["matmul"] * blocks
     assert [op for buf, _, op in kept if id(buf) in partial] == []
-    del terms[:], sums[:], outputs[:], kept
+    del terms[:], sums[:], outputs[:], formed[:], kept
     loss.backward()
     folded = _grad_bytes(model)
 
@@ -337,25 +351,29 @@ def test_relu_keeps_one_bit_per_element(monkeypatch):
 
 
 def test_layer_one_tape_keeps_no_value(monkeypatch):
-    made = []  # (v, output) of every width-1 attention call
+    made = []  # [v, mix * v, and its scale by alpha past the first decoder] of every layer-1 branch
 
-    def record(q, k, v, spec, *fusion):
-        out = sliding_window_attention(q, k, v, spec, *fusion)
-        if spec.window_size == 1:
-            made.append((v, out))
-        return out
+    def record_mul(a, b, _mul=nx.mul):
+        made.append([b, _mul(a, b)])
+        return made[-1][-1]
 
-    monkeypatch.setattr(mdl, "sliding_window_attention", record)
+    def record_scale(a, c, _scale=nx.scale):
+        made[-1].append(_scale(a, c))
+        return made[-1][-1]
+
+    monkeypatch.setattr(nx, "mul", record_mul)
+    monkeypatch.setattr(nx, "scale", record_scale)
     with tape_arrays() as kept:
         _, stages, loss = train_graph(T=50)
     monkeypatch.undo()
-    assert len(made) == (1 + TINY.num_decoders) * len(TINY.kernels)
-    ids = {id(t.data) for vo in made for t in vo}
+    alphas = [1.0] + [mdl.alpha_schedule(d, TINY.alpha_base) for d in range(1, TINY.num_decoders + 1)]
+    assert [len(vt) for vt in made] == [2 if a == 1.0 else 3 for a in alphas for _ in TINY.kernels]
+    ids = {id(t.data) for vt in made for t in vt}
     assert [op for buf, _, op in kept if id(buf) in ids] == []
 
-    # the output is the branch's fusion term, a new array that nothing re-forms
-    values = [(v._node, v.data.tobytes(), weakref.ref(v.data)) for v, _ in made]
-    outs = [weakref.ref(out.data) for _, out in made]
+    # the products and the term are new arrays that nothing re-forms
+    values = [(v._node, v.data.tobytes(), weakref.ref(v.data)) for v, *_ in made]
+    outs = [weakref.ref(t.data) for _, *terms in made for t in terms]
     del made[:]
     assert stages.logits[-1]._parents, "the graph is alive"
     assert all(ref() is None for _, _, ref in values), "the tape keeps a layer-1 V"
@@ -463,40 +481,61 @@ def test_backward_reads_only_what_was_packed(causal):
     assert {a.dtype.kind for a in originals.values()} == {"f", "i", "u"}
 
 
-_FULL_LENGTH_STEP = """
-import json, resource
+_FULL_LENGTH_STEPS = """
+import json, resource, sys
 import numpy as np
 from msast.model import ModelConfig, build_model, forward_full
 from msast.training import AdamState, TrainConfig, adam_step, total_loss
 model = build_model(ModelConfig(input_dim=64, num_classes=7), seed=0)
+state = AdamState.init(model)
 rng = np.random.default_rng(0)
 feats = rng.normal(size=(6000, 64)).astype(np.float32)
 labels = rng.integers(0, 7, size=6000)
-loss = total_loss(forward_full(model, feats, mode="train", rng=rng), labels, TrainConfig())
-loss.backward()
-no_grad = [p.name for p in model.parameters() if p.grad is None]
-adam_step(model.parameters(), AdamState.init(model), 1e-4)
-print(json.dumps({"loss": loss.item(), "no_grad": no_grad,
-                  "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+losses, peaks = [], []
+for _ in range(int(sys.argv[1])):
+    loss = total_loss(forward_full(model, feats, mode="train", rng=rng), labels, TrainConfig())
+    loss.backward()
+    no_grad = [p.name for p in model.parameters() if p.grad is None]
+    adam_step(model.parameters(), state, 1e-4)
+    losses.append(loss.item())
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+print(json.dumps({"losses": losses, "no_grad": no_grad, "peak_mb": peaks}))
 """
+
+
+def _full_length_steps(steps: int) -> dict:
+    """`steps` default offline train steps on a Cholec80-length video (T=6000,
+    about 1.7 hours at 1 fps), Adam included, in a fresh process whose own
+    peak resident size after each step is the measure."""
+    src = os.path.dirname(os.path.dirname(mdl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _FULL_LENGTH_STEPS, str(steps)], env=env,
+                          capture_output=True, text=True, timeout=600 * steps)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert all(math.isfinite(loss) for loss in result["losses"])
+    return result
 
 
 @pytest.mark.slow
 def test_full_length_train_step_fits():
-    """One default offline train step on a Cholec80-length video (T=6000,
-    about 1.7 hours at 1 fps), Adam included, in a fresh process whose own
-    peak resident size is the measure."""
-    src = os.path.dirname(os.path.dirname(mdl.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _FULL_LENGTH_STEP], env=env,
-                          capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout)
-    assert math.isfinite(result["loss"])
+    result = _full_length_steps(1)
     layer_one = {f"{stage}.b0.k{k}.{w}" for stage in ("enc", "dec1", "dec2", "dec3")
                  for k in (3, 5, 17) for w in ("wq", "wk")}
-    assert set(result["no_grad"]) == layer_one  # width-1 attention reads neither
+    assert set(result["no_grad"]) == layer_one  # layer 1 forms no Q or K
     # measured 262 MB (2 vCPUs, numpy 2.4 on OpenBLAS)
-    peak = result["peak_kb"] / 1024
+    peak = result["peak_mb"][0]
     assert peak <= 289, f"a T=6000 train step peaked at {peak:.0f} MB"
+
+
+@pytest.mark.slow
+def test_full_length_train_steps_hold_a_steady_peak():
+    """Three steps: the first Adam step writes both moments, 26 MB each, so
+    the peak rises into step 2 and then holds; a step that kept anything
+    past its end would raise it again."""
+    peaks = _full_length_steps(3)["peak_mb"]
+    # measured 253, 282 and 284 MB (2 vCPUs, numpy 2.4 on OpenBLAS); the bound is 284 + 10%
+    assert peaks[2] <= 312, f"three T=6000 train steps peaked at {peaks[2]:.0f} MB"
+    # measured 1.4 to 1.6 MB; one T=6000 tape is over 100 MB
+    assert peaks[2] - peaks[1] <= 6, f"the third step raised the peak {peaks[2] - peaks[1]:.1f} MB"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from msast import model as mdl
 from msast import numerics as nx
 from msast.attention import WindowSpec, sliding_window_attention
-from msast.errors import ConfigError, ModeError, ShapeError
+from msast.errors import ConfigError, ModeError, NumericError, ShapeError
 from msast.model import (
     ModelConfig,
     StreamState,
@@ -523,6 +523,34 @@ def test_predict_tie_breaks_toward_smaller_id(rng):
         p.data[...] = 0.0  # all logits identical -> every frame is a tie
     labels = predict(model, rng.normal(size=(9, 4)))
     assert np.array_equal(labels, np.zeros(9, dtype=np.int64))
+
+
+def test_causal_predict_names_the_end_of_the_first_non_finite_prefix(rng, monkeypatch):
+    """Frames 12-29 at +-5.3e37 (finite, but they overflow): masked future
+    values still meet row 0 in a full pass's chunk products, so on that
+    error alone predict bisects over prefixes and names the last frame of
+    the shortest one whose logits are not all finite. Finite input runs one
+    pass."""
+    model = tiny_model(causal=True)
+    feats = rng.normal(size=(30, 4)).astype(np.float32)
+    labels = predict(model, feats)
+    passes = []
+
+    def counted(*args, _forward=mdl.forward_full, **kwargs):
+        passes.append(len(args[1]))
+        return _forward(*args, **kwargs)
+
+    monkeypatch.setattr(mdl, "forward_full", counted)
+    assert np.array_equal(predict(model, feats), labels) and passes == [30]
+    feats[12:] = rng.choice([-5.3e37, 5.3e37], size=(18, 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = [np.isfinite(forward_full(model, feats[:n]).final()).all() for n in range(1, 31)]
+        assert not np.isfinite(forward_full(model, feats).final()[0]).all()
+        del passes[:]
+        with pytest.raises(NumericError, match=f"^non-finite logits at frame {finite.index(False)}$"):
+            predict(model, feats)
+    assert finite.index(False) >= 12 and not any(finite[finite.index(False):])
+    assert passes[0] == 30 and len(passes) == 1 + 5  # ceil(log2 30) prefixes
 
 
 # --- gradient check of the tiny model -------------------------------------------------
