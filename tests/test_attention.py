@@ -176,6 +176,49 @@ def test_window1_backward_is_identity_on_v(rng, monkeypatch):
                     assert other.wq.grad is None and other.wk.grad is None
 
 
+def test_branch_term_is_attention_times_mix_then_alpha(rng, monkeypatch):
+    """Past layer 1 a branch's fusion term is bitwise (attn * mix) * alpha,
+    and mix's gradient is ((g * alpha) * attn) summed, the kernel's form. An
+    alpha of 1/3 and a mix of -0.7 round, so the order of the products shows."""
+    from msast import model as mdl
+    from tests.test_numerics import tensor_sum
+
+    alpha, a32 = 1.0 / 3.0, np.float32(1.0 / 3.0)
+    for causal in (True, False):
+        cfg = mdl.ModelConfig(input_dim=4, num_classes=3, kernels=(3, 5), layers_per_stage=2,
+                              feature_maps=4, num_decoders=2, causal=causal)
+        model = mdl.build_model(cfg, seed=0)
+        blk = model.decoders[1].blocks[1]
+        # 70 rows span two query chunks
+        x, enc_out = (as_tensor(rng.normal(size=(70, 4)).astype(np.float32)) for _ in range(2))
+        g = rng.normal(size=(70, 4)).astype(np.float32)
+        for j, br in enumerate(blk.branches):
+            br.mix.data[...] = -0.7
+            addends, calls = [], []  # the block's first sums add its branch terms, in branch order
+
+            def record(a, b, _add=nx.add):
+                addends.append(b)
+                return _add(a, b)
+
+            def kernel(q, k, v, spec, *rest, _kernel=mdl.sliding_window_attention):
+                calls.append((q, k, v, spec))
+                return _kernel(q, k, v, spec, *rest)
+
+            monkeypatch.setattr(nx, "add", record)
+            monkeypatch.setattr(mdl, "sliding_window_attention", kernel)
+            mdl.block_forward(x, enc_out, blk, 2, alpha, cfg)
+            monkeypatch.undo()
+            term = addends[j]
+            with nx.no_grad():
+                attn = plain_attention(*calls[j]).data
+            assert term.data.tobytes() == ((attn * br.mix.data) * a32).tobytes()
+            for p in model.parameters():
+                p.grad = None
+            tensor_sum(nx.mul(term, as_tensor(g))).backward()
+            expect = np.ascontiguousarray(((g * a32) * attn).sum(axis=(0, 1))).reshape(())
+            assert br.mix.grad.tobytes() == expect.tobytes()
+
+
 @pytest.mark.parametrize("causal", [True, False])
 def test_last_rows_match_full_output(rng, causal):
     # queries for the last n rows only, against all T keys and values
