@@ -12,14 +12,15 @@ tiling (Dao et al. 2022). Each chunk of `_CHUNK` query rows attends with
 dense GEMMs to the key/value slab its window can reach, so memory and work
 are O(T * (chunk + width)), not O(T^2), and a sequence of at most `_CHUNK`
 frames is a single dense chunk. The kernel scales a chunk's queries by
-1/sqrt(C) when it reaches the chunk, so it holds no scaled copy of Q, and
-returns its branch's fusion term, the attention output times the branch's
-fusion weight and alpha, formed in place on its own output. For
-backward it keeps two floats per query row, each row's softmax max and sum,
-and recomputes a chunk's probabilities from them (the FlashAttention
-backward), and with them the chunk's output, so the tape holds O(T) floats
-for attention, not O(T * width) and not its output; a Q, K or V that a
-projection GEMM produced is re-formed through that GEMM in backward.
+1/sqrt(C) when it reaches the chunk, so it holds no scaled copy of Q. It
+takes its branch's fusion weight mix_j and returns mix_j * attention,
+formed in place on its own output; the model's block scales that term by
+alpha. For backward it keeps two floats per query row, each row's softmax
+max and sum, and recomputes a chunk's probabilities from them (the
+FlashAttention backward), and with them the chunk's output, so the tape
+holds O(T) floats for attention, not O(T * width) and not its output; a Q,
+K or V that a projection GEMM produced is re-formed through that GEMM in
+backward.
 """
 
 import functools
@@ -48,11 +49,10 @@ def window_schedule(kernel_size: int, layer_index: int) -> int:
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Window geometry for one attention call.
-
-    kernel_size/layer_index document where the window came from; when both
-    are set the width must agree with `window_schedule`. Tests may pin
-    `window_size` directly and leave them None.
+    """Window geometry for one attention call. `from_schedule` is where a
+    model's widths come from; kernel_size/layer_index are labels only, naming
+    its (kernel, layer), and nothing checks them against the width. Tests may
+    set `window_size` directly and leave them None.
     """
 
     window_size: int
@@ -63,13 +63,6 @@ class WindowSpec:
     def __post_init__(self):
         if self.window_size < 1:
             raise ConfigError(f"window_size must be >= 1, got {self.window_size}")
-        if self.kernel_size is not None and self.layer_index is not None:
-            expect = window_schedule(self.kernel_size, self.layer_index)
-            if self.window_size != expect:
-                raise ConfigError(
-                    f"window_size {self.window_size} does not match schedule "
-                    f"{expect} for kernel {self.kernel_size} layer {self.layer_index}"
-                )
 
     @classmethod
     @functools.lru_cache(maxsize=256)  # frozen, so one instance per geometry is shared
@@ -91,16 +84,14 @@ def _band_extent(T: int, window: int, causal: bool) -> tuple[int, int]:
 
 
 def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
-                             weight: Tensor, alpha: float) -> Tensor:
+                             weight: Tensor) -> Tensor:
     """Scaled dot-product attention restricted to a sliding window, returned
-    as its branch's fusion term alpha * (weight * attention).
+    times the scalar `weight` (a branch's mix_j).
 
     attention_t = sum over admissible t' of softmax(q_t . k_t' / sqrt(C)) v_t'.
     Causal windows cover [t-w+1, t]; acausal windows are centered, covering
-    |t - t'| <= w // 2. The term is formed as the fusion forms it: the
-    product with the scalar `weight`, then the scale by alpha when alpha !=
-    1. Backward re-forms the attention output rather than keeping it, and
-    gives the weight its gradient.
+    |t - t'| <= w // 2. Backward re-forms the attention output rather than
+    keeping it, and gives the weight its gradient.
 
     k and v hold T rows; q may hold only the last n of them, and the output
     is then those n rows (row i is position T - n + i), as a streamed step
@@ -119,7 +110,7 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
     (n, C), T = q.data.shape, k.data.shape[0]
     o = T - n  # position of query row 0
     left, right = _band_extent(T, spec.window_size, spec.causal)
-    inv_sqrt, scale = q.data.dtype.type(1.0 / math.sqrt(C)), q.data.dtype.type(alpha)
+    inv_sqrt = q.data.dtype.type(1.0 / math.sqrt(C))
     kd, vd = k.data, v.data
     bias = None
 
@@ -155,9 +146,7 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=1, keepdims=True, out=stats[s:e, 1:])
         np.matmul(probs, vd[a:b], out=out_data[s:e])
-    out_data *= weight.data  # the term in the fusion's order: weight, then alpha
-    if alpha != 1.0:
-        out_data *= scale
+    out_data *= weight.data
     if not _tracking(q, k, v, weight):
         return Tensor(out_data)
     # q, k, v, the bias and the output are rebuilt in backward, so the tape keeps O(n) floats here
@@ -168,8 +157,6 @@ def sliding_window_attention(q: Tensor, k: Tensor, v: Tensor, spec: WindowSpec,
     def backward(g):
         nonlocal kd
         qd, kd, vd, stats = (_value(t) for t in saved)
-        if alpha != 1.0:
-            g = g * scale
         ga = g * _value(w_saved)  # the attention output's adjoint
         out, dq, dk, dv = np.empty_like(qd), np.empty_like(qd), np.zeros_like(kd), np.zeros_like(vd)
         for s, e, a, b in chunks():

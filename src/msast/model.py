@@ -10,15 +10,16 @@ scale kernel, attends within that scale's window, and fuses the branches:
 
 with h_base the kernel-3 branch, mix_j learned scalars, and alpha 1 in the
 encoder and first decoder, then decaying by alpha_base per decoder. Each
-attention call returns its branch's term alpha * (mix_j * attn_j), and the
-block adds the terms to h_base in branch order. In layer 1 every window is
-width 1, so attn_j is V itself: the block forms the term as mix_j * V, then
-times alpha, and forms no Q or K. The tape keeps no attention output; the
-out-projection GEMM keeps the fused sum, one T x C array per block. With or
-without a tape, a branch's attention runs while the block holds only its
-input, enc_out, the fused sum and that branch's Q, K and V: the block drops
-each branch's conv, norm and concat outputs once they are read, and a stage
-its input projection once its first block has read it.
+attention call takes its branch's mix_j and returns mix_j * attn_j; in
+layer 1 every window is width 1, so attn_j is V and the block forms
+mix_j * V with no Q, K or kernel call. The block alone scales each term by
+alpha, and adds the terms to h_base in branch order. The tape keeps no
+attention output; the out-projection GEMM keeps the fused sum, one T x C
+array per block. With or without a tape, a branch's attention runs while
+the block holds only its input, enc_out, the fused sum and that branch's Q,
+K and V: the block drops each branch's conv, norm and concat outputs once
+they are read, and a stage its input projection once its first block has
+read it.
 
 A model's parameters share one buffer, `Model.weights`, in layout order
 (see `assemble_model`); dropping the model frees it whole.
@@ -97,6 +98,12 @@ class ModelConfig:
     dropout: float = 0.5
     alpha_base: float = 2.0
 
+    def __post_init__(self):  # hold the float32 values a checkpoint stores, as a loaded model does
+        object.__setattr__(self, "_given", {"dropout": self.dropout, "alpha_base": self.alpha_base})
+        with np.errstate(over="ignore"):  # past float32 range is inf, which violations() names
+            for name, value in self._given.items():
+                object.__setattr__(self, name, float(np.float32(value)))
+
     def violations(self) -> list[str]:
         problems = []
         if self.input_dim < 1:
@@ -122,9 +129,10 @@ class ModelConfig:
         if self.num_decoders < 1:
             problems.append(f"num_decoders must be >= 1, got {self.num_decoders}")
         if not 0.0 <= self.dropout < 1.0:
-            problems.append(f"dropout must be in [0, 1), got {self.dropout}")
+            problems.append(f"dropout must be in [0, 1) as a float32, got {self._given['dropout']}")
         if not 0 < self.alpha_base < math.inf:
-            problems.append(f"alpha_base must be finite and > 0, got {self.alpha_base}")
+            problems.append(f"alpha_base must be finite and > 0 as a float32, "
+                            f"got {self._given['alpha_base']}")
         if not problems:
             scalars, entries = self.parameter_count()
             need = 12 * scalars + ENTRY_BYTES * entries  # float32 weight, Adam m and v
@@ -258,12 +266,13 @@ class StreamState:
 
     Holds one `_BlockCache` per (stage, layer), sized from the model config
     on the first frame; `len` is the number of frames streamed. A new
-    stream starts from a new state.
+    stream, or another model, starts from a new state.
     """
 
     def __init__(self):
         self.frames = 0
         self.blocks: list[list[_BlockCache]] | None = None
+        self.model: Model | None = None  # the model that filled the caches
 
     def __len__(self) -> int:
         return self.frames
@@ -312,8 +321,6 @@ def block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer:
         if spec.window_size == 1:  # attention is v itself; q, k and the cache go unread
             del n
             term = nx.mul(br.mix, v)
-            if alpha != 1.0:
-                term = nx.scale(term, alpha)
         else:
             if cache is not None:
                 v = nx.as_tensor(cache.values[j].push(v.data))
@@ -324,8 +331,10 @@ def block_forward(x: Tensor, enc_out: Tensor | None, params: BlockParams, layer:
             if cache is not None:
                 k = nx.as_tensor(cache.keys[j].push(k.data))
             del n  # attention reads only q, k and v
-            term = sliding_window_attention(q, k, v, spec, br.mix, alpha)
+            term = sliding_window_attention(q, k, v, spec, br.mix)
             del q, k
+        if alpha != 1.0:
+            term = nx.scale(term, alpha)
         fused = nx.add(fused, term)
         del v, term
     proj = nx.add(nx.matmul(fused, params.out_w), params.out_b)
@@ -501,9 +510,12 @@ def forward_stream(model: Model, next_feature_frame: np.ndarray, state: StreamSt
     if frame.shape != (1, model.cfg.input_dim):
         raise ShapeError(f"stream frame shape {frame.shape}, expected (1, {model.cfg.input_dim})")
     if state.blocks is None:
+        state.model = model
         state.blocks = [[_BlockCache(model.cfg, layer, model.dtype)
                          for layer in range(1, model.cfg.layers_per_stage + 1)]
                         for _ in range(1 + model.cfg.num_decoders)]
+    elif state.model is not model:
+        raise ModeError("stream state holds another model's caches; a new model needs a new state")
     with no_grad():
         logits = _forward(model, frame, None, state.blocks).final()
     state.frames += 1

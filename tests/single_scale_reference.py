@@ -24,8 +24,8 @@ def _single_scale_block(x, enc_out, blk, layer, alpha, causal):
     v = nx.matmul(n, br.wv)
     spec = WindowSpec(window_size=window_schedule(3, layer), causal=causal,
                       kernel_size=3, layer_index=layer)
-    # the kernel's term at a unit weight and alpha 1 is the attention output itself
-    attn = sliding_window_attention(q, k, v, spec, nx.as_tensor(np.ones((), x.data.dtype)), 1.0)
+    # the kernel's output at a unit weight is the attention output itself
+    attn = sliding_window_attention(q, k, v, spec, nx.as_tensor(np.ones((), x.data.dtype)))
     term = nx.mul(br.mix, attn)
     if alpha != 1.0:
         term = nx.scale(term, alpha)

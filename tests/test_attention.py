@@ -11,9 +11,9 @@ from tests.oracles import attention_mask, dense_masked_attention_backward, \
 
 
 def plain_attention(q, k, v, spec):
-    """The attention output itself: the kernel's fusion term at a unit weight
-    and alpha 1, products with 1 that change no bit."""
-    return sliding_window_attention(q, k, v, spec, as_tensor(np.ones((), q.data.dtype)), 1.0)
+    """The attention output itself: the kernel's output at a unit weight, a
+    product with 1 that changes no bit."""
+    return sliding_window_attention(q, k, v, spec, as_tensor(np.ones((), q.data.dtype)))
 
 
 # --- window schedule ----------------------------------------------------------
@@ -47,10 +47,14 @@ def test_window_schedule_errors():
         window_schedule(3, 0)
 
 
-def test_window_spec_schedule_consistency():
-    WindowSpec(window_size=4, causal=True, kernel_size=5, layer_index=2)
+def test_window_spec_widths_come_from_the_schedule():
+    spec = WindowSpec.from_schedule(5, 2, True)
+    assert (spec.window_size, spec.causal, spec.kernel_size, spec.layer_index) == (4, True, 5, 2)
+    assert WindowSpec.from_schedule(5, 2, True) is spec
     with pytest.raises(ConfigError):
-        WindowSpec(window_size=5, causal=True, kernel_size=5, layer_index=2)
+        WindowSpec.from_schedule(1, 2, True)
+    # kernel_size and layer_index are labels; a spec set by hand is not checked against them
+    assert WindowSpec(window_size=5, causal=True, kernel_size=5, layer_index=2).window_size == 5
     with pytest.raises(ConfigError):
         WindowSpec(window_size=0, causal=False)
 
@@ -357,9 +361,9 @@ def test_weighted_call_matches_scaled_dense_reference():
         q, k, v = (rng.normal(size=(T, C)).astype(dtype) for _ in range(3))
         mix = np.asarray(rng.uniform(-1.0, 1.0), dtype=dtype)
         ref = alpha * mix * dense_masked_attention_reference(q, k, v, attention_mask(T, w, causal))
-        got = sliding_window_attention(as_tensor(q), as_tensor(k), as_tensor(v),
-                                       WindowSpec(window_size=w, causal=causal),
-                                       as_tensor(mix), alpha).data
+        term = sliding_window_attention(as_tensor(q), as_tensor(k), as_tensor(v),
+                                        WindowSpec(window_size=w, causal=causal), as_tensor(mix))
+        got = nx.scale(term, alpha).data  # as the block scales each branch term
         assert got.dtype == dtype
         worst = max(worst, float(np.abs(ref - got).max()))
     assert worst <= 1e-6, f"worst deviation from the scaled dense reference: {worst}"
@@ -378,7 +382,9 @@ def test_weighted_gradients_match_finite_differences(rng):
         spec = WindowSpec(window_size=w, causal=causal)
 
         def loss():
-            return tensor_sum(nx.mul(sliding_window_attention(q, k, v, spec, mix, alpha), g))
+            # the branch term as the block forms it: the kernel at mix, then the scale by alpha
+            term = nx.scale(sliding_window_attention(q, k, v, spec, mix), alpha)
+            return tensor_sum(nx.mul(term, g))
 
         err = finite_diff_check(loss, [q, k, v, mix])
         assert err <= 1e-4, f"w={w} causal={causal} T={T} alpha={alpha}: {err}"
@@ -390,4 +396,4 @@ def test_non_scalar_weight_rejected(rng):
         for w in (1, 2):
             with pytest.raises(ShapeError):
                 sliding_window_attention(q, q, q, WindowSpec(window_size=w, causal=True),
-                                         as_tensor(np.ones(shape)), 1.0)
+                                         as_tensor(np.ones(shape)))

@@ -55,7 +55,7 @@ CASES = {
     "concat": (lambda: nx.concat_channels(zeros(2, 3), zeros(4, 3)), ShapeError,
                "concat row mismatch: (2, 3) vs (4, 3)"),
     "attention-queries": (lambda: sliding_window_attention(zeros(6, 2), zeros(5, 2), zeros(5, 2),
-                                                           WindowSpec(3, False), zeros(), 1.0),
+                                                           WindowSpec(3, False), zeros()),
                           ShapeError, "attention needs n x C queries against T >= n keys, "
                                       "got q (6, 2), k (5, 2)"),
     "loss-labels": (lambda: cross_entropy_loss(zeros(3, 2), np.zeros(4, dtype=int)), ShapeError,

@@ -256,6 +256,9 @@ SEEDS = {
     "nul_byte_path": (Case("eval", "split", b"vid\x00eo\n"), 2),
     "deep_causal_stream": (Case("stream", "features", np.ones((20, DIM), np.float32), "deep"), 0),
     "feature_maps_99999999": (Case("train", "set", "feature_maps=99999999"), 2),
+    # float32 rounds these to inf and to 1.0, which the checkpoint would hold
+    "alpha_base_1e39": (Case("train", "set", "alpha_base=1e39"), 2),
+    "dropout_0.99999999": (Case("train", "set", "dropout=0.99999999"), 2),
     "big_features_predict": (Case("predict", "features", _BIG), 4),
     "big_features_stream": (Case("stream", "features", _BIG, "causal"), 4),
 }

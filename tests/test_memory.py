@@ -228,22 +228,22 @@ def _grad_bytes(model):
     return [None if p.grad is None else p.grad.tobytes() for p in model.parameters()]
 
 
-def _composed(q, k, v, spec, weight, alpha):
-    """A branch's fusion term from the plain attention output, then the
-    product with the weight and the scale by alpha as separate tape ops."""
-    term = nx.mul(weight, plain_attention(q, k, v, spec))
-    return term if alpha == 1.0 else nx.scale(term, alpha)
+def _composed(q, k, v, spec, weight):
+    """The kernel's output from the plain attention output, then the product
+    with the weight as a separate tape op."""
+    return nx.mul(weight, plain_attention(q, k, v, spec))
 
 
 def test_attention_outputs_are_not_kept(monkeypatch):
     # attention outputs (layer 1's is v itself), every kernel, mul and scale
-    # output (layer 1 forms its terms with mul and scale), and (addend, sum) pairs
+    # output (layer 1 forms its terms with mul, and the block scales every
+    # term by alpha), and (addend, sum) pairs
     outputs, formed, sums = [], [], []
 
-    def record(q, k, v, spec, weight, alpha):
+    def record(q, k, v, spec, weight):
         with nx.no_grad():
             outputs.append(plain_attention(q, k, v, spec).data)
-        formed.append(sliding_window_attention(q, k, v, spec, weight, alpha))
+        formed.append(sliding_window_attention(q, k, v, spec, weight))
         return formed[-1]
 
     def record_mul(a, b, _mul=nx.mul):
@@ -289,7 +289,7 @@ def test_attention_outputs_are_not_kept(monkeypatch):
     model, _, loss = train_graph(T=50)
     monkeypatch.undo()
     loss.backward()
-    # the same gradients as mul and scale gave the weight and alpha apart
+    # the same gradients as mul gave the weight apart
     composed = _grad_bytes(model)
     mixes = [i for i, p in enumerate(model.parameters()) if p.name.endswith(".mix")]
     assert len(mixes) == blocks * scales
@@ -358,8 +358,10 @@ def test_layer_one_tape_keeps_no_value(monkeypatch):
         return made[-1][-1]
 
     def record_scale(a, c, _scale=nx.scale):
-        made[-1].append(_scale(a, c))
-        return made[-1][-1]
+        out = _scale(a, c)
+        if made and a is made[-1][-1]:  # a layer-1 term; the block scales every term by alpha
+            made[-1].append(out)
+        return out
 
     monkeypatch.setattr(nx, "mul", record_mul)
     monkeypatch.setattr(nx, "scale", record_scale)

@@ -51,11 +51,11 @@ def test_alpha_schedule_rejects_zero_index():
         alpha_schedule(0, 2.0)
 
 
-def _branch_term(rng, weight, alpha=1.0, w=5):
-    """One random attention call's fusion term at `weight` and `alpha`."""
+def _branch_term(rng, weight, w=5):
+    """One random attention call's output at `weight`, and at a unit weight."""
     q, k, v = (as_tensor(rng.normal(size=(6, 4))) for _ in range(3))
     spec = WindowSpec(window_size=w, causal=False)
-    term = sliding_window_attention(q, k, v, spec, Parameter(np.asarray(weight), "w"), alpha)
+    term = sliding_window_attention(q, k, v, spec, Parameter(np.asarray(weight), "w"))
     return term, plain_attention(q, k, v, spec)
 
 
@@ -67,11 +67,25 @@ def test_fuse_zero_weights_is_identity(rng):
     assert np.array_equal(out.data, h.data)
 
 
-def test_fuse_alpha_zero_is_identity(rng):
-    h = as_tensor(rng.normal(size=(6, 4)))
-    for w in (1, 5):
-        out = nx.add(h, _branch_term(rng, 2.0, alpha=0.0, w=w)[0])
-        assert np.array_equal(out.data, h.data)
+def test_fuse_alpha_zero_is_identity(rng, monkeypatch):
+    # at alpha 0 the block's fused sum is h_base, in layer 1 (mix * V) and past it (the kernel)
+    model = tiny_model()
+    blk = model.decoders[0].blocks[0]
+    for br in blk.branches:
+        br.mix.data[...] = 2.0
+    x, enc_out = (as_tensor(rng.normal(size=(6, 8)).astype(np.float32)) for _ in range(2))
+    for layer in (1, 2):
+        sums = []
+
+        def record(a, b, _add=nx.add):
+            sums.append((a, _add(a, b)))
+            return sums[-1][1]
+
+        monkeypatch.setattr(nx, "add", record)
+        block_forward(x, enc_out, blk, layer, 0.0, model.cfg)
+        monkeypatch.undo()
+        h_base, fused = sums[0][0], sums[len(blk.branches) - 1][1]
+        assert np.array_equal(fused.data, h_base.data)
 
 
 def test_fuse_single_scale_unit_weight(rng):
@@ -505,6 +519,28 @@ def test_stream_rejects_acausal_model(rng):
     model = tiny_model(causal=False)
     with pytest.raises(ModeError):
         forward_stream(model, rng.normal(size=(1, 4)), StreamState())
+
+
+@pytest.mark.parametrize("other", [dict(layers_per_stage=3), dict(feature_maps=16), {}])
+def test_stream_state_refuses_another_model(rng, other):
+    """A state filled by a 2-layer model, then given a 3-layer one (whose
+    third layer would go unrun), a C=16 one, or another of the same shape:
+    ModeError, with the caches untouched, and the first model streams on."""
+    def caches(state):
+        return [(q.rows.tobytes(), q.end) for stage in state.blocks for c in stage
+                for q in (c.inputs, *c.keys, *c.values)]
+
+    model = tiny_model(causal=True)
+    feats = rng.normal(size=(5, 4))
+    state = StreamState()
+    rows = [forward_stream(model, feats[t], state) for t in range(3)]
+    before = caches(state)
+    with pytest.raises(ModeError, match="another model"):
+        forward_stream(tiny_model(causal=True, seed=1, **other), feats[3], state)
+    assert len(state) == 3 and caches(state) == before
+    rows += [forward_stream(model, feats[t], state) for t in (3, 4)]
+    fresh = StreamState()
+    assert [forward_stream(model, f, fresh).tobytes() for f in feats] == [r.tobytes() for r in rows]
 
 
 # --- predict ------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -794,6 +795,34 @@ def test_checkpoint_config_round_trip(tmp_path):
     save_checkpoint(model, AdamState.init(model), path)
     loaded, _ = load_checkpoint(path)
     assert loaded.cfg == cfg
+
+
+@pytest.mark.parametrize("alpha_base", [1.7, 1.1])
+def test_config_floats_are_the_float32_values_a_checkpoint_stores(tmp_path, rng, alpha_base):
+    """The header stores dropout and alpha_base as float32; a config holds
+    those values, so a loaded model computes the bytes the saved one did."""
+    cfg = ModelConfig(input_dim=6, num_classes=4, kernels=(3, 5), layers_per_stage=3,
+                      feature_maps=8, num_decoders=3, dropout=0.3, alpha_base=alpha_base)
+    assert (cfg.dropout, cfg.alpha_base) == (float(np.float32(0.3)), float(np.float32(alpha_base)))
+    model = build_model(cfg, seed=2)
+    feats = rng.normal(size=(40, 6)).astype(np.float32)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, AdamState.init(model), path)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.cfg == cfg
+    assert forward_full(loaded, feats).final().tobytes() == forward_full(model, feats).final().tobytes()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dropout", 0.99999999, "dropout must be in [0, 1) as a float32, got 0.99999999"),
+    ("alpha_base", 1e39, "alpha_base must be finite and > 0 as a float32, got 1e+39"),
+    ("alpha_base", 1e-46, "alpha_base must be finite and > 0 as a float32, got 1e-46"),
+])
+def test_config_judges_the_float32_value_and_names_the_given_one(field, value, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = ModelConfig(input_dim=6, num_classes=4, **{field: value})
+    assert cfg.violations() == [message]
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):
