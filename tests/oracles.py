@@ -1,5 +1,5 @@
-"""Brute-force reference implementations for attention and metric tests,
-the central-difference gradient check, the loss it checks the model with,
+"""Brute-force reference implementations for attention, conv and metric
+tests, the central-difference gradient check, the loss it checks the model with,
 `weight_buffer`, a check of a model's parameter layout, and
 `tape_arrays`, a recorder of the arrays a tape keeps, on `numerics.pack_hook`.
 
@@ -63,6 +63,23 @@ def dense_masked_attention_backward(q, k, v, mask, g):
     ds = p * (dp - (p * dp).sum(axis=1, keepdims=True))
     scale = 1.0 / math.sqrt(q.shape[1])
     return ds @ k * scale, ds.T @ q * scale, p.T @ g
+
+
+def per_tap_conv_last_row(x, w, b, dilation: int, causal: bool) -> np.ndarray:
+    """The last output row of `dilated_conv1d(x, w, b, dilation, causal)`,
+    tap by tap: out = b, then for each tap k in order whose input row
+    x[src] lies in x, out += x[src] @ w[k], one (1, Cin) @ (Cin, Cout)
+    product per tap. Shape (1, Cout), in the dtype the three inputs promote to."""
+    x, w, b = (np.asarray(a) for a in (x, w, b))
+    T, K = x.shape[0], w.shape[0]
+    centre = K - 1 if causal else K // 2  # tap `centre` reads x[T - 1] itself
+    out = np.empty((1, w.shape[2]), dtype=np.result_type(x, w, b))
+    out[:] = b
+    for k in range(K):
+        src = T - 1 + (k - centre) * dilation
+        if 0 <= src < T:
+            out += x[src:src + 1] @ w[k]
+    return out
 
 
 def brute_edit_score(pred_labels, gt_labels) -> float:

@@ -25,7 +25,7 @@ from msast.model import (
 )
 from msast.numerics import Parameter, as_tensor
 
-from tests.oracles import weight_buffer
+from tests.oracles import per_tap_conv_last_row, weight_buffer
 from tests.single_scale_reference import single_scale_forward
 from tests.test_attention import plain_attention
 
@@ -432,6 +432,39 @@ def test_stream_matches_full_forward_after_every_cache_wraps(rng):
         step = forward_stream(model, feats[t], state)
         np.testing.assert_allclose(step[0], full[t], rtol=1e-4, atol=1e-5, err_msg=f"t={t}")
         assert step[0].argmax() == full[t].argmax()
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(kernels=(3, 17), feature_maps=1)],
+                         ids=["C8-k5", "C1-k17"])
+def test_stream_conv_is_the_per_tap_sum_after_every_cache_wraps(rng, monkeypatch, overrides):
+    """Every conv call of a streamed frame makes one row. With the per-tap
+    oracle patched in for the package's conv, every conv row and every
+    frame's logits are bitwise the same, through every wrap of the caches."""
+    model = tiny_model(causal=True, layers_per_stage=3, seed=4, **overrides)
+    reach = (max(model.cfg.kernels) - 1) << (model.cfg.layers_per_stage - 1)
+    feats = rng.normal(size=(5 * reach, 4)).astype(np.float32)
+
+    def per_tap(x, w, b, dilation, causal, rows):
+        return as_tensor(per_tap_conv_last_row(x.data, w.data, b.data, dilation, causal))
+
+    def stream(conv):
+        made = []  # each conv call's output row
+
+        def recorded(x, w, b, dilation, causal, rows=None):
+            assert rows == 1
+            made.append(conv(x, w, b, dilation, causal, rows))
+            return made[-1]
+
+        monkeypatch.setattr(nx, "dilated_conv1d", recorded)
+        state = StreamState()
+        logits = [forward_stream(model, frame, state).tobytes() for frame in feats]
+        monkeypatch.undo()
+        return logits, [row.data.tobytes() for row in made]
+
+    (package, package_rows), (oracle, oracle_rows) = stream(nx.dilated_conv1d), stream(per_tap)
+    assert len(package_rows) == len(oracle_rows) == len(feats) * 2 * 3 * len(model.cfg.kernels)
+    assert [i for i, (a, b) in enumerate(zip(package_rows, oracle_rows)) if a != b] == []
+    assert [t for t in range(len(feats)) if package[t] != oracle[t]] == []
 
 
 @st.composite

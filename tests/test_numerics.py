@@ -5,7 +5,7 @@ from msast import numerics as nx
 from msast.errors import ConfigError, ShapeError
 from msast.numerics import Parameter, Tensor, as_tensor, no_grad
 
-from tests.oracles import finite_diff_check
+from tests.oracles import finite_diff_check, per_tap_conv_last_row
 
 
 def tensor_sum(t: Tensor) -> Tensor:
@@ -121,6 +121,66 @@ def test_conv_last_rows_match_full_output(rng, causal, dilation):
         assert {int(i) for i in np.flatnonzero(np.abs(x.grad).sum(axis=1))} <= read
     with pytest.raises(ShapeError):
         nx.dilated_conv1d(x, as_tensor(w), as_tensor(b), dilation, causal, rows=14)
+
+
+def _one_row_lengths(K, causal, dilation):
+    """Input lengths T from 1 to past the reach of a one-row call: each T at
+    which a tap goes live (T - 1 a multiple of the dilation) and its
+    neighbours, up to 10^4 frames."""
+    centre = K - 1 if causal else K // 2
+    steps = (j * dilation + e for j in range(1, centre + 2) for e in (0, 1, 2))
+    return sorted({T for T in (1, 2, 3, 5, *steps) if T <= 10_000})
+
+
+@pytest.mark.parametrize("K, causal", [(3, True), (4, True), (5, True), (17, True),
+                                       (3, False), (5, False), (17, False)])
+@pytest.mark.parametrize("dilation", [1, 2, 7, 64, 512, 2**44])
+def test_conv_one_row_is_the_per_tap_sum(rng, K, causal, dilation):
+    """A one-row call (every streamed step) is bitwise b plus each live tap's
+    own (1, Cin) @ (Cin, Cout) product, added in tap order. 2**44 is the
+    dilation of layer 45, where every tap but the newest reads padding."""
+    lengths = _one_row_lengths(K, causal, dilation)
+    for dtype in (np.float32, np.float64):
+        for cin, cout in ((3, 1), (5, 4), (64, 64)):
+            # rows of mixed magnitude, so a change in the order of the sum shows
+            x = (rng.normal(size=(lengths[-1], cin))
+                 * 10.0 ** rng.integers(-2, 3, size=(lengths[-1], 1))).astype(dtype)
+            w = rng.normal(size=(K, cin, cout)).astype(dtype)
+            b = rng.normal(size=cout).astype(dtype)
+            for T in lengths:
+                out = nx.dilated_conv1d(as_tensor(x[:T]), as_tensor(w), as_tensor(b),
+                                        dilation, causal, rows=1)
+                expect = per_tap_conv_last_row(x[:T], w, b, dilation, causal)
+                assert out.data.dtype == dtype and out.data.shape == (1, cout)
+                assert out.data.tobytes() == expect.tobytes(), (dtype.__name__, cin, cout, T)
+
+
+@pytest.mark.parametrize("causal", [True, False], ids=["causal", "symmetric"])
+def test_conv_tracked_one_row_call_keeps_the_per_tap_backward(rng, causal):
+    """A tracked one-row call: its output and re-formed value are the per-tap
+    sum, and its input, weight and bias gradients are bitwise each live tap's
+    own products, x[src]^T g and g w_k^T, with g.sum for the bias."""
+    K, dilation, T = 5, 3, 10  # causal: taps 1-4 live, tap 0 reads padding
+    centre = K - 1 if causal else K // 2
+    for dtype in (np.float32, np.float64):
+        x = Parameter(rng.normal(size=(T, 4)).astype(dtype), "x")
+        w = Parameter(rng.normal(size=(K, 4, 6)).astype(dtype), "w")
+        b = Parameter(rng.normal(size=6).astype(dtype), "b")
+        g = rng.normal(size=(1, 6)).astype(dtype)
+        out = nx.dilated_conv1d(x, w, b, dilation, causal, rows=1)
+        expect = per_tap_conv_last_row(x.data, w.data, b.data, dilation, causal)
+        assert out.data.tobytes() == expect.tobytes()
+        assert out._node._reform().tobytes() == expect.tobytes()
+        tensor_sum(nx.mul(out, as_tensor(g))).backward()  # out's adjoint is g, exactly
+        dx, dw = np.zeros_like(x.data), np.zeros_like(w.data)
+        for k in range(K):
+            src = T - 1 + (k - centre) * dilation
+            if 0 <= src < T:
+                dw[k] = x.data[src:src + 1].T @ g
+                dx[src:src + 1] += g @ w.data[k].T
+        assert x.grad.tobytes() == dx.tobytes()
+        assert w.grad.tobytes() == dw.tobytes()
+        assert b.grad.tobytes() == g.sum(axis=0).tobytes()
 
 
 def test_conv_causal_never_sees_future(rng):
