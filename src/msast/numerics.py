@@ -441,6 +441,14 @@ def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, causal: bool,
     a streamed step does over [cached inputs | new inputs]; default all T.
     The output's re-former runs the same tap loop again on the input and
     weights that backward keeps for the gradients.
+
+    One untracked row (each streamed step) skips the tap loop: the live taps
+    k0..c (c = K-1 causal, K//2 acausal; k0 = max(0, c - (T-1)//d)) read the
+    strided view x[T-1-(c-k0)d : T : d], and one stacked matmul forms each
+    tap's own (1, Cin) @ (Cin, Cout) product, the BLAS call a lone tap makes.
+    np.add.reduce adds [b; products] row after row, as the loop does; numpy
+    sums pairwise only along its inner loop, the tap axis when Cout = 1, so a
+    one-channel conv keeps the loop.
     """
     if x.data.ndim != 2 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"conv shapes incompatible: x {x.data.shape}, w {w.data.shape}")
@@ -453,9 +461,16 @@ def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, causal: bool,
         raise ConfigError(f"conv needs dilation >= 1 and a kernel >= 1, odd if acausal; "
                           f"got d={dilation}, K={K}, causal={causal}")
     o = T - n  # input row of output row 0
+    c = K - 1 if causal else K // 2  # tap c reads x[t] into y_t
+    if n == 1 and w.data.shape[2] > 1 and not _tracking(x, w, b):
+        k0 = max(0, c - o // dilation)  # taps k0..c read x[o - (c - k) * dilation]
+        out = np.empty((c - k0 + 2, 1, w.data.shape[2]), np.result_type(x.data, w.data, b.data))
+        out[0] = b.data
+        np.matmul(x.data[o - (c - k0) * dilation:o + 1:dilation, None], w.data[k0:c + 1], out=out[1:])
+        return Tensor(np.add.reduce(out, axis=0))
     taps = []
     for k in range(K):
-        s = (k - (K - 1 if causal else K // 2)) * dilation  # tap k adds w_k . x[t + s] into y_t
+        s = (k - c) * dilation  # tap k adds w_k . x[t + s] into y_t
         lo, hi = max(0, -o - s), n - max(s, 0)
         if lo < hi:
             taps.append((k, slice(lo + o + s, hi + o + s), slice(lo, hi)))
