@@ -259,6 +259,9 @@ SEEDS = {
     # float32 rounds these to inf and to 1.0, which the checkpoint would hold
     "alpha_base_1e39": (Case("train", "set", "alpha_base=1e39"), 2),
     "dropout_0.99999999": (Case("train", "set", "dropout=0.99999999"), 2),
+    # decoder 3 of 3 would scale by 1e40 (inf) and by 1e-60 (0) as a float32
+    "alpha_base_1e-20": (Case("train", "set", "alpha_base=1e-20"), 2),
+    "alpha_base_1e30": (Case("train", "set", "alpha_base=1e30"), 2),
     "big_features_predict": (Case("predict", "features", _BIG), 4),
     "big_features_stream": (Case("stream", "features", _BIG, "causal"), 4),
 }

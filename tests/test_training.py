@@ -825,6 +825,20 @@ def test_config_judges_the_float32_value_and_names_the_given_one(field, value, m
     assert cfg.violations() == [message]
 
 
+@pytest.mark.parametrize("alpha_base, decoders, alpha", [
+    (1e-20, 3, "1e+40"),  # inf as a float32: training reaches a non-finite loss
+    (1e30, 3, "1e-60"),  # 0 as a float32: decoder 3's attention terms vanish
+    (1e-30, 25, "inf"),  # past the range of a Python float
+])
+def test_config_judges_the_last_decoders_float32_alpha(alpha_base, decoders, alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = ModelConfig(input_dim=6, num_classes=4, num_decoders=decoders, alpha_base=alpha_base)
+        assert cfg.violations() == [f"alpha_base {alpha_base} gives decoder {decoders} an alpha of "
+                                    f"{alpha}, which is not finite and > 0 as a float32"]
+        assert dataclasses.replace(cfg, num_decoders=2).violations() == []  # 1e20, 1e-30: in range
+
+
 def test_checkpoint_bad_magic_rejected(tmp_path):
     model, state = _fresh()
     path = tmp_path / "m.ckpt"
