@@ -133,16 +133,17 @@ class ModelConfig:
         if not 0 < self.alpha_base < math.inf:
             problems.append(f"alpha_base must be finite and > 0 as a float32, "
                             f"got {self._given['alpha_base']}")
-        elif self.num_decoders > 1:  # the block scales by alpha as a float32; the last is the extreme
-            d = self.num_decoders
+        elif self.num_decoders > 1:  # a block scales by its alpha as a float32
+            d = self.num_decoders  # alpha is monotone in d, so the last decoder's is the extreme
             try:
                 alpha = alpha_schedule(d, self.alpha_base)
             except OverflowError:
                 alpha = math.inf
             with np.errstate(over="ignore"):
                 if not 0 < np.float32(alpha) < math.inf:
-                    problems.append(f"alpha_base {self._given['alpha_base']} gives decoder {d} an alpha "
-                                    f"of {alpha:.3g}, which is not finite and > 0 as a float32")
+                    problems.append(f"alpha_base {self._given['alpha_base']} gives decoder {d} "
+                                    f"an alpha of {alpha:.3g}, which is not finite and > 0 "
+                                    f"as a float32")
         if not problems:
             scalars, entries = self.parameter_count()
             need = 12 * scalars + ENTRY_BYTES * entries  # float32 weight, Adam m and v

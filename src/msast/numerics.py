@@ -442,13 +442,12 @@ def dilated_conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int, causal: bool,
     The output's re-former runs the same tap loop again on the input and
     weights that backward keeps for the gradients.
 
-    One untracked row (each streamed step) skips the tap loop: the live taps
-    k0..c (c = K-1 causal, K//2 acausal; k0 = max(0, c - (T-1)//d)) read the
-    strided view x[T-1-(c-k0)d : T : d], and one stacked matmul forms each
-    tap's own (1, Cin) @ (Cin, Cout) product, the BLAS call a lone tap makes.
-    np.add.reduce adds [b; products] row after row, as the loop does; numpy
-    sums pairwise only along its inner loop, the tap axis when Cout = 1, so a
-    one-channel conv keeps the loop.
+    One untracked row (each streamed step) skips the loop: its live taps k0..c
+    (c = K-1 causal, K//2 acausal; k0 = max(0, c - (T-1)//d)) read a strided
+    view of x; one stacked matmul makes each tap's own (1, Cin) @ (Cin, Cout)
+    BLAS call, and np.add.reduce adds [b; products] row after row, as the loop
+    does. With Cout = 1 the stack axis is numpy's inner loop, which it sums
+    pairwise, so a one-channel conv keeps the loop.
     """
     if x.data.ndim != 2 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"conv shapes incompatible: x {x.data.shape}, w {w.data.shape}")

@@ -836,7 +836,7 @@ def test_config_judges_the_last_decoders_float32_alpha(alpha_base, decoders, alp
         cfg = ModelConfig(input_dim=6, num_classes=4, num_decoders=decoders, alpha_base=alpha_base)
         assert cfg.violations() == [f"alpha_base {alpha_base} gives decoder {decoders} an alpha of "
                                     f"{alpha}, which is not finite and > 0 as a float32"]
-        assert dataclasses.replace(cfg, num_decoders=2).violations() == []  # 1e20, 1e-30: in range
+        assert dataclasses.replace(cfg, num_decoders=2).violations() == []  # 1e20, 1e-30, 1e30: in range
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):
