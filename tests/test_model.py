@@ -594,15 +594,32 @@ def test_predict_tie_breaks_toward_smaller_id(rng):
     assert np.array_equal(labels, np.zeros(9, dtype=np.int64))
 
 
+def test_causal_predict_of_a_finite_video_runs_one_full_pass(rng, monkeypatch):
+    model = tiny_model(causal=True)
+    feats = rng.normal(size=(30, 4)).astype(np.float32)
+    labels = predict(model, feats)
+    calls = []
+
+    def counted(name):
+        run = getattr(mdl, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return run(*args, **kwargs)
+        return wrapper
+
+    for name in ("forward_full", "forward_stream"):
+        monkeypatch.setattr(mdl, name, counted(name))
+    assert np.array_equal(predict(model, feats), labels) and calls == ["forward_full"]
+
+
 def test_causal_predict_names_the_end_of_the_first_non_finite_prefix(rng, monkeypatch):
     """Frames 12-29 at +-5.3e37 (finite, but they overflow): masked future
     values still meet row 0 in a full pass's chunk products, so on that
     error alone predict bisects over prefixes and names the last frame of
-    the shortest one whose logits are not all finite. Finite input runs one
-    pass."""
+    the shortest one whose logits are not all finite."""
     model = tiny_model(causal=True)
     feats = rng.normal(size=(30, 4)).astype(np.float32)
-    labels = predict(model, feats)
     passes = []
 
     def counted(*args, _forward=mdl.forward_full, **kwargs):
@@ -610,7 +627,6 @@ def test_causal_predict_names_the_end_of_the_first_non_finite_prefix(rng, monkey
         return _forward(*args, **kwargs)
 
     monkeypatch.setattr(mdl, "forward_full", counted)
-    assert np.array_equal(predict(model, feats), labels) and passes == [30]
     feats[12:] = rng.choice([-5.3e37, 5.3e37], size=(18, 4))
     with np.errstate(over="ignore", invalid="ignore"):
         finite = [np.isfinite(forward_full(model, feats[:n]).final()).all() for n in range(1, 31)]
