@@ -549,18 +549,16 @@ def labels_from_logits(logits: np.ndarray, first_frame: int = 0) -> np.ndarray:
 def predict(model: Model, features: np.ndarray) -> np.ndarray:
     """Per-frame labels of the final stage (see labels_from_logits). A causal
     full pass lets masked-out non-finite values reach earlier rows of their
-    chunk (0 * inf is NaN), so on that error alone a causal model bisects
-    over prefixes and names the end of the shortest one not all finite."""
+    chunk (0 * inf is NaN), so on that error alone a causal model streams the
+    video as `msast stream` does: it returns the streamed labels, or names
+    the first frame whose streamed logits are not all finite. The two orders
+    of summation differ, so a finite full pass can still label a frame where
+    a streamed step just overflows."""
     try:
         return labels_from_logits(forward_full(model, features, mode="infer").final())
     except NumericError:
         if not model.cfg.causal:
             raise
-    good, bad = 0, len(features)  # prefix lengths: all finite, and not
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if np.isfinite(forward_full(model, features[:mid]).final()).all():
-            good = mid
-        else:
-            bad = mid
-    raise NumericError(f"non-finite logits at frame {bad - 1}")
+    state = StreamState()
+    return np.concatenate([labels_from_logits(forward_stream(model, frame, state), t)
+                           for t, frame in enumerate(features)])

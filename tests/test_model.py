@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from msast import model as mdl
 from msast import numerics as nx
@@ -613,29 +614,37 @@ def test_causal_predict_of_a_finite_video_runs_one_full_pass(rng, monkeypatch):
     assert np.array_equal(predict(model, feats), labels) and calls == ["forward_full"]
 
 
-def test_causal_predict_names_the_end_of_the_first_non_finite_prefix(rng, monkeypatch):
+def test_causal_predict_names_the_first_non_finite_streamed_frame(rng):
     """Frames 12-29 at +-5.3e37 (finite, but they overflow): masked future
     values still meet row 0 in a full pass's chunk products, so on that
-    error alone predict bisects over prefixes and names the last frame of
-    the shortest one whose logits are not all finite."""
+    error alone predict streams the video and names the first frame whose
+    streamed logits are not all finite."""
     model = tiny_model(causal=True)
     feats = rng.normal(size=(30, 4)).astype(np.float32)
-    passes = []
-
-    def counted(*args, _forward=mdl.forward_full, **kwargs):
-        passes.append(len(args[1]))
-        return _forward(*args, **kwargs)
-
-    monkeypatch.setattr(mdl, "forward_full", counted)
     feats[12:] = rng.choice([-5.3e37, 5.3e37], size=(18, 4))
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = [np.isfinite(forward_full(model, feats[:n]).final()).all() for n in range(1, 31)]
         assert not np.isfinite(forward_full(model, feats).final()[0]).all()
-        del passes[:]
+        state = StreamState()
+        finite = [np.isfinite(forward_stream(model, frame, state)).all() for frame in feats]
         with pytest.raises(NumericError, match=f"^non-finite logits at frame {finite.index(False)}$"):
             predict(model, feats)
-    assert finite.index(False) >= 12 and not any(finite[finite.index(False):])
-    assert passes[0] == 30 and len(passes) == 1 + 5  # ceil(log2 30) prefixes
+    assert finite.index(False) >= 12
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(arrays(np.float32, st.tuples(st.integers(1, 40), st.just(4)),
+              elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
+def test_causal_predict_fails_where_streaming_first_fails(feats):
+    model = tiny_model(causal=True)
+    with np.errstate(all="ignore"):
+        try:
+            predict(model, feats)
+        except NumericError as err:
+            frame = int(str(err).rsplit(" ", 1)[1])
+            state = StreamState()
+            finite = [np.isfinite(forward_stream(model, row, state)).all() for row in feats]
+            assert finite.index(False) == frame
 
 
 # --- gradient check of the tiny model -------------------------------------------------
