@@ -614,7 +614,7 @@ def test_stream_non_finite_logits_exit_4_keeps_the_finite_frames(tmp_path, causa
 
 
 def test_causal_commands_name_the_same_non_finite_frame(tmp_path, dataset, causal_trained, capsys):
-    # a full pass's row 0 is not finite here; predict and eval bisect to the frame stream names
+    # a full pass's row 0 is not finite here; predict and eval stream the video, as stream does
     bad = tmp_path / "big.msfeat"
     _blown_up(bad, 30, 12)
     victim = sorted((dataset / "splits" / "test.txt").read_text().split())[-1]
